@@ -30,20 +30,17 @@ from .qring import (
 from .repn import (
     IrrepSpec,
     QMatrix,
+    embed,
     flip,
-    h_power,
-    h_squared_eighth,
     irrep,
     kron,
-    weight_projector,
+    x_diagonal,
 )
 from .rmat import (
-    RFamily,
     braid_matrix,
     conjugated_r,
     drinfeld_u,
     r21,
-    r_family,
     r_inverse,
     r_matrix,
 )

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qring import RingElem
-from .repn import QMatrix, kron
+from .repn import QMatrix, embed
 from .reports import Check, Report, matrix_check
 from .rmat import braid_matrix
 from .twist import TwistConfig, twist_t
@@ -93,41 +92,21 @@ def zbn_generators(d, n, config):
             "exact bundle of %d rows exceeds the ceiling %d "
             "(set QW_MAX_EXACT_DIM to raise it, or evaluate numerically)"
             % (size, ceiling))
-    t = twist_t(d, config)
     b = braid_matrix(d)
-    gens = []
-    g0 = t
-    for _ in range(n - 1):
-        g0 = kron(g0, QMatrix.identity(d))
-    gens.append(g0)
-    for i in range(1, n):
-        g = b
-        for _ in range(i - 1):
-            g = kron(QMatrix.identity(d), g)
-        for _ in range(n - i - 1):
-            g = kron(g, QMatrix.identity(d))
-        gens.append(g)
+    gens = [embed(twist_t(d, config), right=d ** (n - 1))]
+    gens += [embed(b, left=d ** (i - 1), right=d ** (n - i - 1)) for i in range(1, n)]
     return RepBundle(d=d, n=n, generators=gens)
 
 
 def zbn_generators_numeric(d, n, q0, config):
     """Generator matrices evaluated at q = q0, as numpy arrays.  Not subject
     to the exact-mode size ceiling."""
-    t = twist_t(d, config).evaluate(q0)
+    def eye(k):
+        return np.eye(d ** k, dtype=complex)
+
     b = braid_matrix(d).evaluate(q0)
-    eye = np.eye(d, dtype=complex)
-    gens = []
-    g0 = t
-    for _ in range(n - 1):
-        g0 = np.kron(g0, eye)
-    gens.append(g0)
-    for i in range(1, n):
-        g = b
-        for _ in range(i - 1):
-            g = np.kron(eye, g)
-        for _ in range(n - i - 1):
-            g = np.kron(g, eye)
-        gens.append(g)
+    gens = [np.kron(twist_t(d, config).evaluate(q0), eye(n - 1))]
+    gens += [np.kron(np.kron(eye(i - 1), b), eye(n - i - 1)) for i in range(1, n)]
     return gens
 
 
@@ -188,16 +167,12 @@ def eval_braid_word(word, bundle):
     return result
 
 
-def verify_affine_relation(d, beta1_or_config):
+def verify_affine_relation(d, beta1):
     """Check the shifted cylinder relation satisfied by the conjugated twist
     on V_d (x) V_d: (1 (x) F) B (1 (x) F) B = B (1 (x) F) B (1 (x) F)."""
-    if isinstance(beta1_or_config, TwistConfig):
-        beta1 = beta1_or_config.beta1
-    else:
-        beta1 = beta1_or_config
     tbar = twist_t(d, TwistConfig(beta1=beta1, variant="affine"))
     b = braid_matrix(d)
-    f2 = kron(QMatrix.identity(d), tbar)
+    f2 = embed(tbar, left=d)
     lhs = f2 * b * f2 * b
     rhs = b * f2 * b * f2
     return Report(title="affine relation d=%d" % d,

@@ -25,6 +25,7 @@ from .repn import irrep
 from .rmat import r_matrix
 from .reports import Report
 from .twist import (
+    VARIANTS,
     TwistConfig,
     beta_coeffs,
     symmetric_basis_matrix,
@@ -164,9 +165,7 @@ def _build_parser():
     p = sub.add_parser("twist", help="print a cylinder-twist matrix")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--beta1", default="0", metavar="EXPR")
-    p.add_argument("--variant", default="standard",
-                   choices=("standard", "w_inverse", "k_conjugate",
-                            "u_conjugate", "affine"))
+    p.add_argument("--variant", default="standard", choices=VARIANTS)
     p.add_argument("--alpha", default=None, metavar="A",
                    help="half-integer exponent for the K-conjugated variant")
     p.add_argument("--basis", choices=("integer", "symmetric"), default="integer")
@@ -193,9 +192,7 @@ def _build_parser():
     p.add_argument("--max-dim", type=int, default=3)
     p.add_argument("--max-sum", type=int, default=8)
     p.add_argument("--beta1", default="1", metavar="EXPR")
-    p.add_argument("--variant", default="standard",
-                   choices=("standard", "w_inverse", "k_conjugate",
-                            "u_conjugate", "affine"))
+    p.add_argument("--variant", default="standard", choices=VARIANTS)
     p.add_argument("--alpha", default=None, metavar="A")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--strands", type=int, default=3)
@@ -269,10 +266,11 @@ def _cmd_zbn(args, out):
     if args.at_q is not None:
         import numpy as np
         gens = zbn_generators_numeric(args.dim, args.strands, args.at_q, config)
+        inverses = {idx: np.linalg.inv(gens[idx])
+                    for idx, exp in word.letters if exp == -1}
         result = np.eye(args.dim ** args.strands, dtype=complex)
         for idx, exp in word.letters:
-            g = gens[idx] if exp == 1 else np.linalg.inv(gens[idx])
-            result = result @ g
+            result = result @ (gens[idx] if exp == 1 else inverses[idx])
         _print_numeric(result, args.format, out)
         return 0
     bundle = zbn_generators(args.dim, args.strands, config)
@@ -285,8 +283,7 @@ def _verify_reports(args):
     suite = args.suite
     reports = []
     if suite in ("four-braid", "all"):
-        alpha = Fraction(args.alpha) if args.alpha is not None else None
-        config = TwistConfig(beta1=beta1, variant=args.variant, alpha=alpha)
+        config = _config(args)
         for da in range(1, args.max_dim + 1):
             for db in range(1, args.max_dim + 1):
                 reports.append(verify_four_braid(da, db, config))

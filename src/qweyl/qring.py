@@ -235,6 +235,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its int or Fraction, so it must hash like it
+        if not self.terms.keys() - {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     # -- conversion -----------------------------------------------------------
@@ -436,8 +439,9 @@ class RingElem:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((frozenset(self.num.terms.items()),
-                     frozenset(self.den.terms.items())))
+        if self.den.is_one:
+            return hash(self.num)
+        return hash((self.num, self.den))
 
     # -- numeric bridge -------------------------------------------------------
 
@@ -492,6 +496,15 @@ def _as_elem(v):
     if isinstance(v, (int, Fraction)):
         return RingElem.from_rational(v)
     return NotImplemented
+
+
+def as_elem(v):
+    """v as a ring element; v must be a RingElem, int or Fraction."""
+    e = _as_elem(v)
+    if e is NotImplemented:
+        raise TypeError("expected RingElem, int or Fraction, got %r"
+                        % type(v).__name__)
+    return e
 
 
 def _normalize_unit(num, den):
@@ -677,7 +690,10 @@ class _Parser:
 def parse_ring_elem(s):
     """Parse a ring element from the small expression grammar."""
     parser = _Parser(_tokenize(s))
-    value = parser.expr()
+    try:
+        value = parser.expr()
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
     if parser.peek() != "end":
         raise ValueError("trailing input in expression %r" % s)
     return value

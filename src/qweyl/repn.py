@@ -9,20 +9,11 @@ basis every generator matrix lives over Q(x).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .qring import ONE, ZERO, RingElem, q_int
-
-
-def _as_entry(v):
-    if isinstance(v, RingElem):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return RingElem.from_rational(v)
-    raise TypeError("matrix entries must be RingElem, int or Fraction")
+from .qring import ONE, ZERO, RingElem, as_elem, q_int
 
 
 class QMatrix:
@@ -31,7 +22,7 @@ class QMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(_as_entry(v) for v in row) for row in entries)
+        rows = tuple(tuple(as_elem(v) for v in row) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must be nonempty")
         cols = len(rows[0])
@@ -63,7 +54,7 @@ class QMatrix:
     def diagonal(cls, values):
         n = len(values)
         entries = tuple(
-            tuple(_as_entry(values[i]) if i == j else ZERO for j in range(n))
+            tuple(as_elem(values[i]) if i == j else ZERO for j in range(n))
             for i in range(n))
         return cls._raw(n, n, entries)
 
@@ -112,7 +103,7 @@ class QMatrix:
         return QMatrix._raw(self.rows, other.cols, tuple(out))
 
     def scale(self, s):
-        s = _as_entry(s)
+        s = as_elem(s)
         return QMatrix._raw(self.rows, self.cols, tuple(
             tuple(a * s for a in row) for row in self.entries))
 
@@ -131,9 +122,6 @@ class QMatrix:
                 entries.append(tuple(row))
         return QMatrix._raw(self.rows * other.rows, self.cols * other.cols,
                             tuple(entries))
-
-    def transpose(self):
-        return QMatrix._raw(self.cols, self.rows, tuple(zip(*self.entries)))
 
     def inverse(self):
         """Exact inverse by Gauss-Jordan elimination over Q(x)."""
@@ -237,8 +225,8 @@ def irrep(d):
         raise ValueError("dimension must be positive, got %d" % d)
     weights = tuple(d - 1 - 2 * k for k in range(d))
     H = QMatrix.diagonal([RingElem.from_rational(h) for h in weights])
-    K = QMatrix.diagonal([RingElem.x_power(2 * h) for h in weights])
-    Kinv = QMatrix.diagonal([RingElem.x_power(-2 * h) for h in weights])
+    K = x_diagonal(2 * h for h in weights)
+    Kinv = x_diagonal(-2 * h for h in weights)
 
     y_rows = [[ONE if (i == j + 1) else ZERO for j in range(d)] for i in range(d)]
     Y = QMatrix(y_rows)
@@ -249,26 +237,38 @@ def irrep(d):
                      E=K * X, F=Kinv * Y, K=K, Kinv=Kinv)
 
 
-def weight_projector(d, m):
-    """Diagonal idempotent onto the m-weight space of the d-dim irrep."""
-    weights = irrep(d).weights
-    return QMatrix.diagonal([ONE if h == m else ZERO for h in weights])
+def x_diagonal(exponents):
+    """The diagonal matrix with entries x^e, one for each exponent e."""
+    return QMatrix.diagonal([RingElem.x_power(e) for e in exponents])
 
 
-def h_power(d, r):
-    """Diagonal matrix of q^(r*H) on the d-dim irrep; 8*r must be an integer."""
-    r = Fraction(r)
-    e8 = 8 * r
-    if e8.denominator != 1:
-        raise ValueError("q^(%s H) does not lie in Q(x)" % r)
-    return QMatrix.diagonal(
-        [RingElem.x_power(int(e8) * h) for h in irrep(d).weights])
+def powers(m, k):
+    """The list [1, m, m^2, ..., m^k]."""
+    out = [QMatrix.identity(m.rows)]
+    for _ in range(k):
+        out.append(out[-1] * m)
+    return out
 
 
-def h_squared_eighth(d, sign=-1):
-    """Diagonal matrix of q^(sign * H^2/8); eigenvalue x^(sign*h^2) at weight h."""
-    return QMatrix.diagonal(
-        [RingElem.x_power(sign * h * h) for h in irrep(d).weights])
+def tensor_series(terms):
+    """Sum of c * (A_1 (x) ... (x) A_k) over the terms (c, A_1, ..., A_k).
+
+    With one leg per term this is the plain linear combination sum c * A.
+    """
+    total = None
+    for c, *legs in terms:
+        term = reduce(kron, legs).scale(c)
+        total = term if total is None else total + term
+    return total
+
+
+def embed(m, left=1, right=1):
+    """The leg embedding 1_left (x) m (x) 1_right."""
+    if left > 1:
+        m = kron(QMatrix.identity(left), m)
+    if right > 1:
+        m = kron(m, QMatrix.identity(right))
+    return m
 
 
 def kron(a, b):

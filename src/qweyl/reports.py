@@ -44,9 +44,3 @@ def matrix_check(name, lhs, rhs):
     i, j, a, b = diff
     return Check(name=name, ok=False,
                  detail="entry (%d,%d): %s != %s" % (i + 1, j + 1, a, b))
-
-
-def elem_check(name, lhs, rhs):
-    if lhs == rhs:
-        return Check(name=name, ok=True)
-    return Check(name=name, ok=False, detail="%s != %s" % (lhs, rhs))

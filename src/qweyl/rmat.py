@@ -3,33 +3,23 @@
 The universal element is evaluated through the finite series
 q^(H (x) H / 4) * sum_n (1-q^-1)^n / [n]! * q^(n(n-1)/4) * E^n (x) F^n,
 which truncates by nilpotency at n = min(da, db) - 1.  The Cartan factor
-is realized through weight projectors on each tensor leg.
+is the diagonal with entry x^(2 ha hb) at the tensor weight (ha, hb).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .qring import ONE, RingElem, q_factorial, q_power
-from .repn import QMatrix, flip, irrep, kron, weight_projector
-
-
-def weights_of(d):
-    return irrep(d).weights
+from .qring import ONE, q_factorial, q_power
+from .repn import embed, flip, irrep, kron, powers, tensor_series, x_diagonal
 
 
 @lru_cache(maxsize=None)
 def cartan_factor(da, db, sign=1):
-    """q^(sign * H (x) H / 4) on V_a (x) V_b, summed over weight projectors."""
-    total = QMatrix.zeros(da * db)
-    for m in weights_of(da):
-        pm = weight_projector(da, m)
-        for mp in weights_of(db):
-            block = kron(pm, weight_projector(db, mp))
-            total = total + block.scale(RingElem.x_power(sign * 2 * m * mp))
-    return total
+    """q^(sign * H (x) H / 4) on V_a (x) V_b: the diagonal x^(2 sign ha hb)."""
+    return x_diagonal(2 * sign * ha * hb
+                      for ha in irrep(da).weights for hb in irrep(db).weights)
 
 
 @lru_cache(maxsize=None)
@@ -40,26 +30,14 @@ def series_coeff(n):
 
 
 @lru_cache(maxsize=None)
-def _gen_powers(d, which, count):
-    r = irrep(d)
-    base = {"E": r.E, "F": r.F, "Y": r.Y, "X": r.X}[which]
-    powers = [QMatrix.identity(d)]
-    for _ in range(count):
-        powers.append(powers[-1] * base)
-    return powers
-
-
-@lru_cache(maxsize=None)
 def r_matrix(da, db):
     """(pi_a (x) pi_b) applied to the universal R element."""
     if da < 1 or db < 1:
         raise ValueError("dimensions must be positive")
     nmax = min(da, db) - 1
-    epow = _gen_powers(da, "E", nmax)
-    fpow = _gen_powers(db, "F", nmax)
-    series = QMatrix.zeros(da * db)
-    for n in range(nmax + 1):
-        series = series + kron(epow[n], fpow[n]).scale(series_coeff(n))
+    epow, fpow = powers(irrep(da).E, nmax), powers(irrep(db).F, nmax)
+    series = tensor_series((series_coeff(n), epow[n], fpow[n])
+                           for n in range(nmax + 1))
     return cartan_factor(da, db, 1) * series
 
 
@@ -73,21 +51,6 @@ def r_inverse(da, db):
 def r21(da, db):
     """R with its tensor legs exchanged, as an operator on V_a (x) V_b."""
     return flip(db, da) * r_matrix(db, da) * flip(da, db)
-
-
-@dataclass(frozen=True)
-class RFamily:
-    da: int
-    db: int
-    R: QMatrix
-    Rinv: QMatrix
-    R21: QMatrix
-
-
-@lru_cache(maxsize=None)
-def r_family(da, db):
-    return RFamily(da=da, db=db, R=r_matrix(da, db),
-                   Rinv=r_inverse(da, db), R21=r21(da, db))
 
 
 @lru_cache(maxsize=None)
@@ -105,13 +68,10 @@ def conjugated_r(da, db):
     rather than from an explicit Weyl matrix.
     """
     nmax = min(da, db) - 1
-    fa = _gen_powers(da, "F", nmax)
-    fb = _gen_powers(db, "F", nmax)
-    series = QMatrix.zeros(da * db)
     msign = -q_power(Fraction(1, 2))
-    for n in range(nmax + 1):
-        coeff = series_coeff(n) * msign ** n
-        series = series + kron(fa[n], fb[n]).scale(coeff)
+    fa, fb = powers(irrep(da).F, nmax), powers(irrep(db).F, nmax)
+    series = tensor_series((series_coeff(n) * msign ** n, fa[n], fb[n])
+                           for n in range(nmax + 1))
     return cartan_factor(da, db, -1) * series
 
 
@@ -119,39 +79,24 @@ def conjugated_r(da, db):
 def drinfeld_u(d):
     """The Drinfeld element: multiply the antipoded second leg of R by the first.
 
-    R is expanded as a finite sum of pure tensors via weight projectors;
-    the antipode acts on generators by S(H) = -H, S(X) = -q^(1/2) X,
-    S(Y) = -q^(-1/2) Y, so S(F^n P_m) has matrix S(F)^n P_{-m} with
-    S(F) = -q^(-1/2) Y K.  Conjugation by the result implements S^2.
+    The antipode acts on generators by S(H) = -H, S(X) = -q^(1/2) X,
+    S(Y) = -q^(-1/2) Y, so the second leg F^n P_m' of R becomes S(F)^n P_-m'
+    with S(F) = -q^(-1/2) Y K.  Only m' = -m survives against the first leg
+    P_m E^n, which leaves sum_n c_n S(F)^n q^(-H^2/4) E^n.  Conjugation by
+    the result implements S^2.
     """
     r = irrep(d)
-    nmax = d - 1
-    epow = _gen_powers(d, "E", nmax)
     sf = (r.Y * r.K).scale(-q_power(Fraction(-1, 2)))
-    sfpow = [QMatrix.identity(d)]
-    for _ in range(nmax):
-        sfpow.append(sfpow[-1] * sf)
-    total = QMatrix.zeros(d)
-    for n in range(nmax + 1):
-        cn = series_coeff(n)
-        for m in weights_of(d):
-            alpha = weight_projector(d, m) * epow[n]
-            if alpha.is_zero:
-                continue
-            for mp in weights_of(d):
-                scalar = cn * RingElem.x_power(2 * m * mp)
-                s_beta = sfpow[n] * weight_projector(d, -mp)
-                if s_beta.is_zero:
-                    continue
-                total = total + (s_beta * alpha).scale(scalar)
-    return total
+    gauss = x_diagonal(-2 * h * h for h in r.weights)
+    sfpow, epow = powers(sf, d - 1), powers(r.E, d - 1)
+    return tensor_series((series_coeff(n), sfpow[n] * gauss * epow[n])
+                         for n in range(d))
 
 
 _COPRODUCTS = {
     "X": lambda a, b: kron(a.X, b.K) + kron(a.Kinv, b.X),
     "Y": lambda a, b: kron(a.Y, b.K) + kron(a.Kinv, b.Y),
-    "H": lambda a, b: kron(a.H, QMatrix.identity(b.dim))
-    + kron(QMatrix.identity(a.dim), b.H),
+    "H": lambda a, b: embed(a.H, right=b.dim) + embed(b.H, left=a.dim),
     "K": lambda a, b: kron(a.K, b.K),
     "Kinv": lambda a, b: kron(a.Kinv, b.Kinv),
 }

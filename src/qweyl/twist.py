@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qring import ONE, ZERO, RingElem, q_binomial, q_factorial, q_int, q_power
-from .repn import QMatrix, h_power, h_squared_eighth, irrep, kron
+from .qring import ONE, ZERO, RingElem, as_elem, q_binomial, q_factorial, q_int, q_power
+from .repn import QMatrix, embed, irrep, kron, powers, tensor_series, x_diagonal
 from .reports import Check, Report, matrix_check
 from .rmat import (
     cartan_factor,
@@ -35,14 +35,6 @@ from .rmat import (
 )
 
 VARIANTS = ("standard", "w_inverse", "k_conjugate", "u_conjugate", "affine")
-
-
-def _as_ring(v):
-    if isinstance(v, RingElem):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return RingElem.from_rational(v)
-    raise TypeError("beta1 must be a RingElem, int or Fraction")
 
 
 @dataclass(frozen=True)
@@ -59,7 +51,7 @@ class TwistConfig:
     alpha: Fraction | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "beta1", _as_ring(self.beta1))
+        object.__setattr__(self, "beta1", as_elem(self.beta1))
         if self.variant not in VARIANTS:
             raise ValueError("unknown variant %r (choose from %s)"
                              % (self.variant, ", ".join(VARIANTS)))
@@ -88,7 +80,7 @@ class CoeffTable:
 @lru_cache(maxsize=None)
 def beta_coeffs(n_max, beta1):
     """Coefficient tables up to index n_max for the given beta_1."""
-    beta1 = _as_ring(beta1)
+    beta1 = as_elem(beta1)
     betas = [ONE]
     if n_max >= 1:
         betas.append(beta1)
@@ -132,21 +124,17 @@ def bracket_coeff(a, b, n):
 
 def _borel_series(d, coeffs):
     """sum_m coeffs[m] q^(-Hm/4) Y^m on the d-dim irrep (truncates at d-1)."""
-    ypow = QMatrix.identity(d)
-    total = QMatrix.zeros(d)
-    y = irrep(d).Y
-    for m in range(d):
-        if m:
-            ypow = ypow * y
-        term = h_power(d, Fraction(-m, 4)) * ypow
-        total = total + term.scale(coeffs[m])
-    return total
+    weights = irrep(d).weights
+    ypow = powers(irrep(d).Y, d - 1)
+    return tensor_series(
+        (coeffs[m], x_diagonal(-2 * m * h for h in weights) * ypow[m])
+        for m in range(d))
 
 
 @lru_cache(maxsize=None)
 def zhat(d, beta1):
     """The unipotent Borel factor of the twist."""
-    table = beta_coeffs(d - 1, _as_ring(beta1))
+    table = beta_coeffs(d - 1, as_elem(beta1))
     return _borel_series(d, table.betas)
 
 
@@ -154,14 +142,14 @@ def zhat(d, beta1):
 def zhat_inverse(d, beta1):
     """Inverse of zhat via the coefficient recursion
     alpha_a = -sum_{m=1..a} beta_m alpha_{a-m} q^(-m(a-m)/2), alpha_0 = 1."""
-    table = beta_coeffs(d - 1, _as_ring(beta1))
+    table = beta_coeffs(d - 1, as_elem(beta1))
     return _borel_series(d, table.alphas)
 
 
 @lru_cache(maxsize=None)
 def z_elem(d, beta1):
     """z = q^(-H^2/8) zhat."""
-    return h_squared_eighth(d, -1) * zhat(d, _as_ring(beta1))
+    return x_diagonal(-h * h for h in irrep(d).weights) * zhat(d, as_elem(beta1))
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +180,7 @@ def twist_t(d, config):
     if config.variant == "w_inverse":
         return weyl_w(d).inverse() * z
     if config.variant == "k_conjugate":
-        k_alpha = h_power(d, config.alpha / 4)
+        k_alpha = x_diagonal(int(2 * config.alpha) * h for h in irrep(d).weights)
         return weyl_w(d) * k_alpha * z * k_alpha
     if config.variant == "u_conjugate":
         u = drinfeld_u(d)
@@ -214,33 +202,26 @@ def coproduct_zhat(da, db, beta1):
 
     sum_m sum_i beta_m [m over i] (q^(H(i-2m)/4) Y^i) (x) (q^(H(i-m)/4) Y^(m-i)).
     """
-    beta1 = _as_ring(beta1)
+    beta1 = as_elem(beta1)
     m_max = (da - 1) + (db - 1)
     table = beta_coeffs(m_max, beta1)
-    ya = irrep(da).Y
-    yb = irrep(db).Y
-    ypow_a = [QMatrix.identity(da)]
-    for _ in range(da - 1):
-        ypow_a.append(ypow_a[-1] * ya)
-    ypow_b = [QMatrix.identity(db)]
-    for _ in range(db - 1):
-        ypow_b.append(ypow_b[-1] * yb)
-    total = QMatrix.zeros(da * db)
-    for m in range(m_max + 1):
-        for i in range(max(0, m - (db - 1)), min(m, da - 1) + 1):
-            leg1 = h_power(da, Fraction(i - 2 * m, 4)) * ypow_a[i]
-            leg2 = h_power(db, Fraction(i - m, 4)) * ypow_b[m - i]
-            coeff = table.betas[m] * q_binomial(m, i)
-            total = total + kron(leg1, leg2).scale(coeff)
-    return total
+    wa, wb = irrep(da).weights, irrep(db).weights
+    ypow_a, ypow_b = powers(irrep(da).Y, da - 1), powers(irrep(db).Y, db - 1)
+    return tensor_series(
+        (table.betas[m] * q_binomial(m, i),
+         x_diagonal(2 * (i - 2 * m) * h for h in wa) * ypow_a[i],
+         x_diagonal(2 * (i - m) * h for h in wb) * ypow_b[m - i])
+        for m in range(m_max + 1)
+        for i in range(max(0, m - (db - 1)), min(m, da - 1) + 1))
 
 
 @lru_cache(maxsize=None)
 def coproduct_z(da, db, beta1):
-    """Coproduct of z: (q^(-H^2/8) (x) q^(-H^2/8)) q^(-H(x)H/4) coproduct(zhat)."""
-    beta1 = _as_ring(beta1)
-    gauss = kron(h_squared_eighth(da, -1), h_squared_eighth(db, -1))
-    return gauss * cartan_factor(da, db, -1) * coproduct_zhat(da, db, beta1)
+    """Coproduct of z: q^(-(H (x) 1 + 1 (x) H)^2 / 8) coproduct(zhat)."""
+    beta1 = as_elem(beta1)
+    gauss = x_diagonal(-(ha + hb) ** 2
+                       for ha in irrep(da).weights for hb in irrep(db).weights)
+    return gauss * coproduct_zhat(da, db, beta1)
 
 
 def coproduct_t(da, db, config):
@@ -261,8 +242,8 @@ def four_braid_sides(da, db, ta, tb, affine=False):
     Ordinary form:  R21 t2 R t1  vs  t1 R21 t2 R.
     Affine form:    R t2 R21 t1  vs  t1 R t2 R21.
     """
-    t1 = kron(ta, QMatrix.identity(db))
-    t2 = kron(QMatrix.identity(da), tb)
+    t1 = embed(ta, right=db)
+    t2 = embed(tb, left=da)
     r = r_matrix(da, db)
     rt = r21(da, db)
     if affine:
@@ -278,10 +259,7 @@ def braid_form_sides(d, t, affine=False):
     """Both sides of the equivalent braid-matrix form on V_d (x) V_d."""
     from .rmat import braid_matrix
     b = braid_matrix(d)
-    if affine:
-        f = kron(QMatrix.identity(d), t)
-    else:
-        f = kron(t, QMatrix.identity(d))
+    f = embed(t, left=d) if affine else embed(t, right=d)
     return f * b * f * b, b * f * b * f
 
 
@@ -307,11 +285,10 @@ def verify_four_braid(da, db, config):
 
 def verify_zdelta(da, db, beta1):
     """Check the coproduct condition on z and its unipotent reformulation."""
-    beta1 = _as_ring(beta1)
     za = z_elem(da, beta1)
     zb = z_elem(db, beta1)
-    z1 = kron(za, QMatrix.identity(db))
-    z2 = kron(QMatrix.identity(da), zb)
+    z1 = embed(za, right=db)
+    z2 = embed(zb, left=da)
     lhs = coproduct_z(da, db, beta1)
     rhs = z2 * conjugated_r(da, db) * z1
     checks = [matrix_check("coproduct condition for z on V%d (x) V%d" % (da, db),
@@ -319,22 +296,17 @@ def verify_zdelta(da, db, beta1):
 
     zh_a = zhat(da, beta1)
     zh_b = zhat(db, beta1)
-    fa = irrep(da).F
-    fb = irrep(db).F
-    fpow_a = [QMatrix.identity(da)]
-    fpow_b = [QMatrix.identity(db)]
-    for _ in range(min(da, db) - 1):
-        fpow_a.append(fpow_a[-1] * fa)
-        fpow_b.append(fpow_b[-1] * fb)
-    series = QMatrix.zeros(da * db)
-    for n in range(min(da, db)):
-        leg1 = h_power(da, Fraction(-n, 2)) * fpow_a[n]
-        series = series + kron(leg1, fpow_b[n]).scale(series_coeff_B(n))
+    nmax = min(da, db) - 1
+    fpow_a, fpow_b = powers(irrep(da).F, nmax), powers(irrep(db).F, nmax)
+    series = tensor_series(
+        (series_coeff_B(n),
+         x_diagonal(-4 * n * h for h in irrep(da).weights) * fpow_a[n], fpow_b[n])
+        for n in range(nmax + 1))
     rhs_hat = cartan_factor(da, db, 1) \
-        * kron(QMatrix.identity(da), zh_b) \
+        * embed(zh_b, left=da) \
         * cartan_factor(da, db, -1) \
         * series \
-        * kron(zh_a, QMatrix.identity(db))
+        * embed(zh_a, right=db)
     checks.append(matrix_check(
         "unipotent coproduct equation on V%d (x) V%d" % (da, db),
         coproduct_zhat(da, db, beta1), rhs_hat))
@@ -345,7 +317,7 @@ def verify_bform(max_sum, beta1):
     """Check that the doubled coefficient sum depends only on a + b, that
     both index-shift recurrences hold, and the original coefficient
     equation in the unprimed coefficients."""
-    beta1 = _as_ring(beta1)
+    beta1 = as_elem(beta1)
     table = beta_coeffs(max_sum, beta1)
     checks = []
 
@@ -402,14 +374,13 @@ def verify_bform(max_sum, beta1):
 def verify_coproduct(max_dim, beta1):
     """Check the coproduct law for the twist, coproduct(t) = R^-1 t2 R t1,
     and the counit value read off from the one-dimensional representation."""
-    beta1 = _as_ring(beta1)
     cfg = TwistConfig(beta1=beta1)
     checks = []
     for da in range(1, max_dim + 1):
         for db in range(1, max_dim + 1):
             lhs = coproduct_t(da, db, cfg)
-            t1 = kron(twist_t(da, cfg), QMatrix.identity(db))
-            t2 = kron(QMatrix.identity(da), twist_t(db, cfg))
+            t1 = embed(twist_t(da, cfg), right=db)
+            t2 = embed(twist_t(db, cfg), left=da)
             rhs = r_inverse(da, db) * t2 * r_matrix(da, db) * t1
             checks.append(matrix_check(
                 "twist coproduct law on V%d (x) V%d" % (da, db), lhs, rhs))
@@ -420,7 +391,6 @@ def verify_coproduct(max_dim, beta1):
 
 def verify_inverse(max_dim, beta1):
     """Check zhat * zhat^-1 = zhat^-1 * zhat = identity for d <= max_dim."""
-    beta1 = _as_ring(beta1)
     checks = []
     for d in range(1, max_dim + 1):
         ident = QMatrix.identity(d)
@@ -479,7 +449,6 @@ def symmetric_basis_matrix(d, beta1, q0):
     D_0 = 1, D_{k+1} = D_k / sqrt([k+1][d-1-k]) together with the overall
     scale 1/[d-1]!, which restores the corner normalization q^(-(d-1)^2/4).
     """
-    beta1 = _as_ring(beta1)
     t_num = twist_t(d, TwistConfig(beta1=beta1)).evaluate(q0)
     coupling = [q_int(k + 1).evaluate(q0).real * q_int(d - 1 - k).evaluate(q0).real
                 for k in range(d - 1)]

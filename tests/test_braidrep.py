@@ -152,8 +152,9 @@ class TestAffine:
         assert verify_affine_relation(2, B1).ok
         assert verify_affine_relation(3, B0).ok
 
-    def test_accepts_config(self):
-        assert verify_affine_relation(2, TwistConfig(beta1=B1)).ok
+    def test_rejects_config(self):
+        with pytest.raises(TypeError):
+            verify_affine_relation(2, TwistConfig(beta1=B1))
 
 
 class TestNumericBundle:

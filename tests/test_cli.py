@@ -163,6 +163,13 @@ class TestUsageErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_deeply_nested_expression(self, capsys):
+        deep = "(" * 3000 + "1" + ")" * 3000
+        code, _ = run_cli("twist", "--dim", "2", "--beta1", deep)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_bad_dims(self):
         code, _ = run_cli("rmatrix", "--dims", "nope")
         assert code == 2

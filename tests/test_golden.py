@@ -1,0 +1,41 @@
+"""Byte-level regression guard: sha256 digests of CLI output.
+
+The digests pin exact output (JSON, LaTeX, the verify table and numeric
+text) so that a refactor of the matrix builders cannot change a single
+byte.  Regenerate a digest only for an intended change of output.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from qweyl import cli
+
+GOLDEN = [
+    (("verify", "all", "--max-dim", "2", "--beta1", "1"),
+     "a68fdcd54db887d630bbf40542cac5301f35fa570c5417353cc9ce95cf54caaa"),
+    (("twist", "--dim", "4", "--beta1", "x^4+1", "--format", "json"),
+     "dbb0b65052b31259bfa225b0338da2e7c168fd7567a2928ebe194f88476d6720"),
+    (("twist", "--dim", "4", "--beta1", "x^4+1", "--format", "latex"),
+     "124e5d26a95b9da034f1fed66c2aca0fa4ad3ad40688b305d57dd7b6bc91a922"),
+    (("twist", "--dim", "3", "--variant", "u_conjugate", "--format", "json"),
+     "bbf8c7665268f116f78d50525ae064625a7f048317ff8c3517847b6dddcdf0ca"),
+    (("coeffs", "--count", "6", "--beta1", "1", "--format", "json"),
+     "06a958d61bd17ad616c99edd1dc9f5ec2772298b070f0d4740a27b7e24fd7600"),
+    (("rmatrix", "--dims", "3,2", "--format", "json"),
+     "56ab9f8451287aabcac4aba3d327900257aee4d9bd82a17ab7f26726c60ab9ac"),
+    (("zbn", "--dim", "2", "--strands", "3", "--beta1", "1",
+      "--word", "0 1 0' 2", "--format", "json"),
+     "a52652482e446f8c18ea1afc19a14790e2b4d89d87f275d2e3a61f6b4089ad52"),
+    (("zbn", "--dim", "2", "--strands", "3", "--beta1", "1",
+      "--word", "0 1 0' 2", "--at-q", "0.7"),
+     "f9d650a5ee0e62b99c8699cb60364597fb6dc8db6ae51c07ffe07e77c2c7eeb4"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_output_digest(argv, digest):
+    buf = io.StringIO()
+    assert cli.run(list(argv), out=buf) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

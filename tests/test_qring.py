@@ -91,6 +91,18 @@ class TestArithmetic:
         assert 1 + X - X == ONE
         assert (2 * X) / 2 == X
 
+    def test_equal_values_hash_equal(self):
+        half = Fraction(1, 2)
+        pairs = [(ONE, 1), (ZERO, 0), (RingElem.from_rational(half), half),
+                 (RingElem.from_rational(-3), -3), (LaurentPoly.monomial(0, 1), 1),
+                 (LaurentPoly(), 0), (LaurentPoly.monomial(0, half), half)]
+        for a, b in pairs:
+            assert a == b
+            assert hash(a) == hash(b), (a, b)
+        assert len({ONE, 1}) == 1
+        assert len({LaurentPoly.monomial(0, 1), 1, Fraction(1)}) == 1
+        assert len({X, x_pow(1), X + ZERO}) == 1
+
     def test_negative_powers(self):
         assert X ** -3 == x_pow(-3)
         e = (X + ONE) ** -2

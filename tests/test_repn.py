@@ -6,17 +6,23 @@ import pytest
 from qweyl.qring import ONE, ZERO, LaurentPoly, RingElem, q_int, q_power
 from qweyl.repn import (
     QMatrix,
+    embed,
     flip,
-    h_power,
-    h_squared_eighth,
     irrep,
     kron,
-    weight_projector,
+    powers,
+    tensor_series,
+    x_diagonal,
 )
 
 
 def x_pow(k):
     return RingElem.x_power(k)
+
+
+def projector(d, m):
+    """Diagonal idempotent onto the m-weight space of the d-dim irrep."""
+    return QMatrix.diagonal([ONE if h == m else ZERO for h in irrep(d).weights])
 
 
 def rand_matrix(rng, n):
@@ -142,25 +148,35 @@ class TestIrrep:
 
 class TestProjectors:
     def test_examples(self):
-        assert weight_projector(2, 1) == QMatrix.diagonal([1, 0])
-        assert weight_projector(2, 0) == QMatrix.zeros(2)
-        assert weight_projector(3, 0) == QMatrix.diagonal([0, 1, 0])
+        assert projector(2, 1) == QMatrix.diagonal([1, 0])
+        assert projector(2, 0) == QMatrix.zeros(2)
+        assert projector(3, 0) == QMatrix.diagonal([0, 1, 0])
 
     def test_resolution_of_identity(self):
         for d in range(1, 6):
             total = QMatrix.zeros(d)
             for m in range(-d, d + 1):
-                total = total + weight_projector(d, m)
+                total = total + projector(d, m)
             assert total == QMatrix.identity(d)
 
     def test_h_power(self):
-        m = h_power(3, Fraction(-1, 4))
+        # q^(-H/4) = x^(-2h) on V3
+        m = x_diagonal(-2 * h for h in irrep(3).weights)
         assert m == QMatrix.diagonal([x_pow(-4), ONE, x_pow(4)])
 
     def test_h_squared(self):
-        m = h_squared_eighth(2)
+        # q^(-H^2/8) = x^(-h^2)
+        m = x_diagonal(-h * h for h in irrep(2).weights)
         assert m == QMatrix.diagonal([x_pow(-1), x_pow(-1)])
-        assert h_squared_eighth(3) == QMatrix.diagonal([x_pow(-4), ONE, x_pow(-4)])
+        m = x_diagonal(-h * h for h in irrep(3).weights)
+        assert m == QMatrix.diagonal([x_pow(-4), ONE, x_pow(-4)])
+
+    def test_x_diagonal_is_projector_sum(self):
+        for d in range(1, 6):
+            total = QMatrix.zeros(d)
+            for m in irrep(d).weights:
+                total = total + projector(d, m).scale(x_pow(3 * m - 1))
+            assert x_diagonal(3 * h - 1 for h in irrep(d).weights) == total
 
 
 class TestKronFlip:
@@ -194,13 +210,44 @@ class TestKronFlip:
         total = QMatrix.zeros(da * db)
         for m in range(-da, da + 1):
             for mp in range(-db, db + 1):
-                block = kron(weight_projector(da, m), weight_projector(db, mp))
+                block = kron(projector(da, m), projector(db, mp))
                 total = total + block.scale(x_pow(2 * m * mp))
         expected = []
         for ha in irrep(da).weights:
             for hb in irrep(db).weights:
                 expected.append(x_pow(2 * ha * hb))
         assert total == QMatrix.diagonal(expected)
+
+
+class TestBuilders:
+    def test_powers(self):
+        r = irrep(4)
+        p = powers(r.Y, 4)
+        assert len(p) == 5
+        assert p[0] == QMatrix.identity(4)
+        assert p[3] == r.Y * r.Y * r.Y
+        assert p[4].is_zero
+
+    def test_tensor_series_matches_explicit_sum(self):
+        rng = random.Random(9)
+        a = [rand_matrix(rng, 2) for _ in range(3)]
+        b = [rand_matrix(rng, 3) for _ in range(3)]
+        c = [x_pow(k) + k for k in range(3)]
+        total = QMatrix.zeros(6)
+        for k in range(3):
+            total = total + kron(a[k], b[k]).scale(c[k])
+        assert tensor_series(zip(c, a, b)) == total
+        plain = a[0].scale(c[0]) + a[1].scale(c[1])
+        assert tensor_series([(c[0], a[0]), (c[1], a[1])]) == plain
+
+    def test_embed_matches_kron_with_identities(self):
+        rng = random.Random(10)
+        m = rand_matrix(rng, 2)
+        i2, i3 = QMatrix.identity(2), QMatrix.identity(3)
+        assert embed(m) == m
+        assert embed(m, left=3) == kron(i3, m)
+        assert embed(m, right=2) == kron(m, i2)
+        assert embed(m, left=2, right=3) == kron(kron(i2, m), i3)
 
 
 class TestCoproductConsistency:

@@ -5,7 +5,6 @@ import pytest
 from qweyl.qring import ONE, ZERO, RingElem, q_power
 from qweyl.repn import QMatrix, flip, irrep, kron
 from qweyl.rmat import (
-    RFamily,
     braid_matrix,
     cartan_factor,
     conjugated_r,
@@ -13,7 +12,6 @@ from qweyl.rmat import (
     coproduct_gen_op,
     drinfeld_u,
     r21,
-    r_family,
     r_inverse,
     r_matrix,
     series_coeff,
@@ -23,6 +21,11 @@ from qweyl.twist import weyl_w
 
 def x_pow(k):
     return RingElem.x_power(k)
+
+
+def projector(d, m):
+    """Diagonal idempotent onto the m-weight space of the d-dim irrep."""
+    return QMatrix.diagonal([ONE if h == m else ZERO for h in irrep(d).weights])
 
 
 def embed_12(m, dc):
@@ -67,10 +70,8 @@ class TestRMatrix:
             assert r21(da, db) == direct
 
     def test_family_bundle(self):
-        fam = r_family(2, 3)
-        assert isinstance(fam, RFamily)
-        assert fam.R * fam.Rinv == QMatrix.identity(6)
-        assert fam.R21 == r21(2, 3)
+        assert r_matrix(2, 3) * r_inverse(2, 3) == QMatrix.identity(6)
+        assert r21(2, 3) == flip(3, 2) * r_matrix(3, 2) * flip(2, 3)
 
 
 class TestIntertwiner:
@@ -173,12 +174,40 @@ class TestDrinfeldElement:
         u = drinfeld_u(3)
         assert u * r.H == r.H * u
 
+    def test_matches_projector_sum(self):
+        # R as a sum of pure tensors (P_m E^n) (x) (F^n P_m') with scalar
+        # c_n x^(2 m m'); the antipode sends the second leg to S(F)^n P_-m'
+        for d in range(1, 6):
+            r = irrep(d)
+            sf = (r.Y * r.K).scale(-q_power(Fraction(-1, 2)))
+            total = QMatrix.zeros(d)
+            epow = sfpow = QMatrix.identity(d)
+            for n in range(d):
+                for m in r.weights:
+                    for mp in r.weights:
+                        term = sfpow * projector(d, -mp) * projector(d, m) * epow
+                        scalar = series_coeff(n) * x_pow(2 * m * mp)
+                        total = total + term.scale(scalar)
+                epow, sfpow = epow * r.E, sfpow * sf
+            assert drinfeld_u(d) == total, d
+
 
 class TestCartanFactor:
     def test_diagonal_values(self):
         m = cartan_factor(2, 2, 1)
         assert m == QMatrix.diagonal([x_pow(2), x_pow(-2), x_pow(-2), x_pow(2)])
         assert cartan_factor(2, 2, -1) * m == QMatrix.identity(4)
+
+    def test_matches_projector_sum(self):
+        for da in range(1, 6):
+            for db in range(1, 6):
+                for sign in (1, -1):
+                    total = QMatrix.zeros(da * db)
+                    for m in irrep(da).weights:
+                        for mp in irrep(db).weights:
+                            block = kron(projector(da, m), projector(db, mp))
+                            total = total + block.scale(x_pow(2 * sign * m * mp))
+                    assert cartan_factor(da, db, sign) == total, (da, db, sign)
 
     def test_series_coeff_values(self):
         assert series_coeff(0) == ONE

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qweyl.qring import ONE, ZERO, RingElem, q_factorial, q_int, q_power
-from qweyl.repn import QMatrix, h_power, irrep, kron
+from qweyl.repn import QMatrix, irrep, kron, x_diagonal
 from qweyl.rmat import r_inverse, r_matrix, r21
 from qweyl.twist import (
     CoeffTable,
@@ -264,8 +264,10 @@ class TestCoproducts:
         plus = coproduct_zhat(da, db, B1)
         minus = coproduct_zhat(da, db, -B1)
         ra, rb = irrep(da), irrep(db)
-        direct = kron(h_power(da, Fraction(-1, 4)), h_power(db, Fraction(-1, 4))) \
-            * (kron(ra.Y, rb.K) + kron(ra.Kinv, rb.Y))
+        # q^(-H/4) (x) q^(-H/4) = x^(-2h) (x) x^(-2h)
+        qh_a = x_diagonal(-2 * h for h in ra.weights)
+        qh_b = x_diagonal(-2 * h for h in rb.weights)
+        direct = kron(qh_a, qh_b) * (kron(ra.Y, rb.K) + kron(ra.Kinv, rb.Y))
         half = RingElem.from_rational(Fraction(1, 2))
         assert (plus - minus).scale(half) == direct
 
