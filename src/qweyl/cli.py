@@ -64,9 +64,10 @@ def _coeff_latex(c, has_power):
 def _poly_latex(poly):
     if not poly.terms:
         return "0"
+    coeffs = poly.coefficients()
     parts = []
-    for e in sorted(poly.terms, reverse=True):
-        c = poly.terms[e]
+    for e in sorted(coeffs, reverse=True):
+        c = coeffs[e]
         power = _q_power_latex(e)
         body = _coeff_latex(c, bool(power)) + power
         if not body:

@@ -9,10 +9,8 @@ floating point except the explicit `evaluate` bridge.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _coeff(v):
@@ -24,8 +22,8 @@ def _coeff(v):
 
 
 # ---------------------------------------------------------------------------
-# dense helpers for ordinary polynomials (ascending coefficient lists,
-# nonzero constant term assumed where noted); used only by canonicalization
+# dense helpers for ordinary integer polynomials (ascending coefficient
+# lists); used only by canonicalization
 
 
 def _trim(c):
@@ -35,19 +33,10 @@ def _trim(c):
 
 
 def _int_primitive(ints):
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints
-
-
-def _clear_denominators(coeffs):
-    den = 1
-    for v in coeffs:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return _int_primitive([int(v * den) for v in coeffs])
 
 
 def _int_pseudo_rem(a, b):
@@ -66,64 +55,84 @@ def _int_pseudo_rem(a, b):
     return a
 
 
-def _poly_gcd(fa, fb):
-    """Monic gcd of two nonzero polynomials given as ascending Fraction lists.
+def _int_exact_quotient(a, b):
+    """Quotient a / b of integer polynomials, b primitive.
 
-    Uses the primitive pseudo-remainder sequence over the integers, which
-    keeps intermediate coefficients bounded.
+    By Gauss's lemma b divides a over Q only if the quotient is integral,
+    so every leading division must be exact and the remainder zero.
     """
-    a = _clear_denominators(fa)
-    b = _clear_denominators(fb)
-    while b:
-        a, b = b, _int_primitive(_int_pseudo_rem(a, b))
-    lead = Fraction(a[-1])
-    return [Fraction(v) / lead for v in a]
-
-
-def _poly_divmod(fa, fb):
-    a = fa[:]
-    db = len(fb) - 1
-    lb = fb[-1]
-    q = [_F0] * max(0, len(a) - db)
+    a = a[:]
+    db = len(b) - 1
+    lb = b[-1]
+    nonzero = [(i, v) for i, v in enumerate(b) if v]
+    q = [0] * max(0, len(a) - db)
     while a and len(a) - 1 >= db:
-        factor = a[-1] / lb
+        factor, rem = divmod(a[-1], lb)
+        if rem:
+            break
         shift = len(a) - 1 - db
         q[shift] = factor
-        for i in range(len(fb)):
-            a[shift + i] -= factor * fb[i]
+        for i, v in nonzero:
+            a[shift + i] -= factor * v
         _trim(a)
-    return q, a
+    if a:
+        raise ArithmeticError("inexact polynomial division")
+    return q
 
 
 class LaurentPoly:
     """A Laurent polynomial in x with exact rational coefficients.
 
-    Stored as a sparse map from integer exponent to nonzero Fraction.
-    Instances are treated as immutable.
+    Stored as integer numerators keyed by exponent (`terms`, zeros omitted)
+    over one positive integer denominator `denom` shared by every term, in
+    lowest terms: gcd(denom, numerators) == 1, so an integer polynomial has
+    denom 1.  `coefficients()` gives the Fraction values.  Instances are
+    treated as immutable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "denom")
 
     def __init__(self, terms=None):
-        clean = {}
+        fracs = {}
         if terms:
             for e, c in terms.items():
                 c = _coeff(c)
                 if c:
-                    clean[int(e)] = c
-        self.terms = clean
+                    fracs[int(e)] = c
+        # over the lcm of the denominators the numerators share no factor
+        # with it: some term carries each prime power of the lcm in full
+        den = math.lcm(*(c.denominator for c in fracs.values()))
+        self.terms = {e: c.numerator * (den // c.denominator)
+                      for e, c in fracs.items()}
+        self.denom = den
 
     @classmethod
-    def _raw(cls, terms):
-        # internal fast constructor: terms already clean
+    def _raw(cls, terms, denom=1):
+        # internal fast constructor: terms and denom already in lowest terms
         p = object.__new__(cls)
         p.terms = terms
+        p.denom = denom
         return p
+
+    @classmethod
+    def _reduced(cls, terms, denom):
+        # internal constructor: nonzero integer terms over a positive denom
+        if denom != 1:
+            g = math.gcd(denom, *terms.values())
+            if g != 1:
+                terms = {e: c // g for e, c in terms.items()}
+                denom //= g
+        return cls._raw(terms, denom)
 
     @classmethod
     def monomial(cls, exp, coeff=1):
         c = _coeff(coeff)
-        return cls._raw({int(exp): c}) if c else cls._raw({})
+        return cls._raw({int(exp): c.numerator}, c.denominator) if c else cls._raw({})
+
+    def coefficients(self):
+        """The coefficients as an {exponent: Fraction} dict, in storage order."""
+        d = self.denom
+        return {e: Fraction(c, d) for e, c in self.terms.items()}
 
     # -- predicates ---------------------------------------------------------
 
@@ -133,7 +142,7 @@ class LaurentPoly:
 
     @property
     def is_one(self):
-        return len(self.terms) == 1 and self.terms.get(0) == 1
+        return self.denom == 1 and len(self.terms) == 1 and self.terms.get(0) == 1
 
     def min_exp(self):
         return min(self.terms)
@@ -143,36 +152,36 @@ class LaurentPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
-        out = dict(self.terms)
+    def _plus(self, other, sign):
+        # self + sign * other over the common denominator
+        da, db = self.denom, other.denom
+        if da == db:
+            ma, mb = 1, sign
+        else:
+            g = math.gcd(da, db)
+            ma, mb = db // g, sign * (da // g)
+        out = dict(self.terms) if ma == 1 else {e: c * ma for e, c in self.terms.items()}
         for e, c in other.terms.items():
+            c *= mb
             s = out.get(e)
             if s is None:
                 out[e] = c
             else:
-                s = s + c
+                s += c
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        return LaurentPoly._raw(out)
+        return LaurentPoly._reduced(out, da * ma)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = -c
-            else:
-                s = s - c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return LaurentPoly._raw(out)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return LaurentPoly._raw({e: -c for e, c in self.terms.items()})
+        return LaurentPoly._raw({e: -c for e, c in self.terms.items()}, self.denom)
 
     def __mul__(self, other):
         a, b = self.terms, other.terms
@@ -180,35 +189,38 @@ class LaurentPoly:
             return _P_ZERO
         if len(a) == 1:
             (ea, ca), = a.items()
-            return LaurentPoly._raw({ea + e: ca * c for e, c in b.items()})
-        if len(b) == 1:
+            out = {ea + e: ca * c for e, c in b.items()}
+        elif len(b) == 1:
             (eb, cb), = b.items()
-            return LaurentPoly._raw({e + eb: c * cb for e, c in a.items()})
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                s = out.get(e)
-                if s is None:
-                    out[e] = ca * cb
-                else:
-                    s = s + ca * cb
-                    if s:
-                        out[e] = s
+            out = {e + eb: c * cb for e, c in a.items()}
+        else:
+            out = {}
+            for ea, ca in a.items():
+                for eb, cb in b.items():
+                    e = ea + eb
+                    s = out.get(e)
+                    if s is None:
+                        out[e] = ca * cb
                     else:
-                        del out[e]
-        return LaurentPoly._raw(out)
+                        s += ca * cb
+                        if s:
+                            out[e] = s
+                        else:
+                            del out[e]
+        return LaurentPoly._reduced(out, self.denom * other.denom)
 
     def scale(self, c):
         c = _coeff(c)
         if not c:
             return _P_ZERO
-        return LaurentPoly._raw({e: v * c for e, v in self.terms.items()})
+        n = c.numerator
+        return LaurentPoly._reduced({e: v * n for e, v in self.terms.items()},
+                                    self.denom * c.denominator)
 
     def shift(self, k):
         if k == 0:
             return self
-        return LaurentPoly._raw({e + k: c for e, c in self.terms.items()})
+        return LaurentPoly._raw({e + k: c for e, c in self.terms.items()}, self.denom)
 
     def __pow__(self, n):
         if n < 0:
@@ -226,43 +238,31 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
-            return self.terms == other.terms
+            return self.denom == other.denom and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            other = _coeff(other)
             if not other:
                 return not self.terms
-            return self.terms == {0: other}
+            return self.denom == other.denominator and self.terms == {0: other.numerator}
         return NotImplemented
 
     def __hash__(self):
         # a constant equals its int or Fraction, so it must hash like it
         if not self.terms.keys() - {0}:
-            return hash(self.terms.get(0, 0))
-        return hash(frozenset(self.terms.items()))
+            return hash(Fraction(self.terms.get(0, 0), self.denom))
+        return hash((frozenset(self.terms.items()), self.denom))
 
     # -- conversion -----------------------------------------------------------
 
-    def dense(self):
-        """Ascending coefficient list of the poly part; requires min_exp >= 0."""
-        n = self.max_exp()
-        out = [_F0] * (n + 1)
-        for e, c in self.terms.items():
-            out[e] = c
-        return out
-
-    @classmethod
-    def from_dense(cls, coeffs, shift=0):
-        return cls._raw({i + shift: c for i, c in enumerate(coeffs) if c})
-
     def __call__(self, xval):
-        return sum(complex(c) * xval ** e for e, c in self.terms.items())
+        return sum(complex(c) * xval ** e for e, c in self.coefficients().items())
 
     def __str__(self):
         if not self.terms:
             return "0"
+        coeffs = self.coefficients()
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e in sorted(coeffs, reverse=True):
+            c = coeffs[e]
             if e == 0:
                 body = str(abs(c))
             else:
@@ -279,25 +279,62 @@ class LaurentPoly:
 
 
 _P_ZERO = LaurentPoly._raw({})
-_P_ONE = LaurentPoly._raw({0: _F1})
+_P_ONE = LaurentPoly._raw({0: 1})
+
+
+def _stride(*polys):
+    """Gcd of the exponent steps of the polys; 0 when all are monomials."""
+    g = 0
+    for p in polys:
+        v = min(p.terms)
+        g = math.gcd(g, *[e - v for e in p.terms])
+    return g
+
+
+def _dense(p, step):
+    """Integer numerators of p / x^min_exp as an ascending list in y = x^step."""
+    v = min(p.terms)
+    out = [0] * ((max(p.terms) - v) // step + 1)
+    for e, c in p.terms.items():
+        out[(e - v) // step] = c
+    return out
 
 
 def _laurent_gcd(a, b):
-    """Gcd of the polynomial parts, ignoring x-power units."""
-    pa = a.shift(-a.min_exp()).dense()
-    pb = b.shift(-b.min_exp()).dense()
-    return LaurentPoly.from_dense(_poly_gcd(pa, pb))
+    """Monic gcd of the polynomial parts, ignoring x-power units.
+
+    Both parts are polynomials in y = x^g for their common exponent stride
+    g; the gcd is taken there, over the integers, by the primitive
+    pseudo-remainder sequence, which keeps intermediate coefficients bounded.
+    """
+    step = _stride(a, b) or 1
+    pa = _int_primitive(_dense(a, step))
+    pb = _int_primitive(_dense(b, step))
+    while pb:
+        pa, pb = pb, _int_primitive(_int_pseudo_rem(pa, pb))
+    lead = pa[-1]
+    if lead < 0:
+        pa = [-v for v in pa]
+        lead = -lead
+    # pa is primitive, so pa / lead is already in lowest terms
+    return LaurentPoly._raw({i * step: v for i, v in enumerate(pa) if v}, lead)
 
 
 def _exact_div(a, g):
     """Divide Laurent poly a by g (poly, g | a exactly up to an x-unit)."""
     if g.is_one:
         return a
-    va = a.min_exp()
-    q, r = _poly_divmod(a.shift(-va).dense(), g.shift(-g.min_exp()).dense())
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return LaurentPoly.from_dense(q, shift=va - g.min_exp())
+    step = _stride(a, g) or 1
+    pg = _dense(g, step)
+    content = math.gcd(*pg)
+    if content != 1:
+        pg = [v // content for v in pg]
+    q = _int_exact_quotient(_dense(a, step), pg)
+    # a / g = (A / pg) * g.denom / (a.denom * content) for numerators A
+    shift = a.min_exp() - g.min_exp()
+    return LaurentPoly._reduced(
+        {i * step + shift: v * g.denom for i, v in enumerate(q) if v},
+        a.denom * content)
 
 
 class RingElem:
@@ -459,10 +496,11 @@ class RingElem:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self):
-        return {
-            "num": [[e, str(self.num.terms[e])] for e in sorted(self.num.terms)],
-            "den": [[e, str(self.den.terms[e])] for e in sorted(self.den.terms)],
-        }
+        out = {}
+        for key, poly in (("num", self.num), ("den", self.den)):
+            coeffs = poly.coefficients()
+            out[key] = [[e, str(coeffs[e])] for e in sorted(coeffs)]
+        return out
 
     @classmethod
     def from_json(cls, obj):
@@ -516,9 +554,10 @@ def _normalize_unit(num, den):
     if vd:
         num = num.shift(-vd)
         den = den.shift(-vd)
-    if lead != 1:
-        num = num.scale(1 / lead)
-        den = den.scale(1 / lead)
+    if lead != 1 or den.denom != 1:
+        inv = Fraction(den.denom, lead)
+        num = num.scale(inv)
+        den = den.scale(inv)
     return RingElem._raw(num, den)
 
 
@@ -559,10 +598,11 @@ def q_int(n):
     if n < 0:
         return -q_int(-n)
     return RingElem._raw(
-        LaurentPoly._raw({4 * (n - 1 - 2 * i): _F1 for i in range(n)}), _P_ONE)
+        LaurentPoly._raw({4 * (n - 1 - 2 * i): 1 for i in range(n)}), _P_ONE)
 
 
 _FACT_CACHE = [ONE]
+_FACT_LOCK = threading.Lock()
 
 
 def q_factorial(n):
@@ -570,9 +610,13 @@ def q_factorial(n):
     n = int(n)
     if n < 0:
         raise ValueError("q_factorial of negative %d" % n)
-    while len(_FACT_CACHE) <= n:
-        k = len(_FACT_CACHE)
-        _FACT_CACHE.append(_FACT_CACHE[k - 1] * q_int(k))
+    if n >= len(_FACT_CACHE):
+        # entries are appended only once computed, so reading below the
+        # length needs no lock
+        with _FACT_LOCK:
+            while len(_FACT_CACHE) <= n:
+                k = len(_FACT_CACHE)
+                _FACT_CACHE.append(_FACT_CACHE[k - 1] * q_int(k))
     return _FACT_CACHE[n]
 
 

@@ -31,6 +31,16 @@ GOLDEN = [
     (("zbn", "--dim", "2", "--strands", "3", "--beta1", "1",
       "--word", "0 1 0' 2", "--at-q", "0.7"),
      "f9d650a5ee0e62b99c8699cb60364597fb6dc8db6ae51c07ffe07e77c2c7eeb4"),
+    # non-integer coefficients: denominators shared across a polynomial
+    (("twist", "--dim", "4", "--beta1", "7/2", "--format", "json"),
+     "1c4a664637a9016bc401e655ded7805e43a81bd548a1d36706e370f8c36179ea"),
+    (("twist", "--dim", "4", "--beta1", "7/2", "--format", "latex"),
+     "3462b5837bac2e11fd93e1433a6d79bdc8b7815dcebde857cec56e5b7d201cf3"),
+    (("coeffs", "--count", "8", "--beta1", "x^4/2-3/2", "--format", "json"),
+     "e368155a200779cc5f7a8f9bdc0d6f9f5d47d4e713dd9dddda9bd23ac7f64fa3"),
+    (("zbn", "--dim", "2", "--strands", "3", "--beta1", "1/3",
+      "--word", "0 1 0' 2", "--at-q", "0.7"),
+     "84492747ba0f8658e15e39ecafa3ad8b4ac1b92a61c10851fe755a0199e1573c"),
 ]
 
 

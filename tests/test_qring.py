@@ -1,8 +1,12 @@
+import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from qweyl import qring
 from qweyl.qring import (
     ONE,
     ZERO,
@@ -10,12 +14,14 @@ from qweyl.qring import (
     Q,
     LaurentPoly,
     RingElem,
+    _exact_div,
     parse_ring_elem,
     q_binomial,
     q_factorial,
     q_int,
     q_power,
 )
+from qweyl.twist import TwistConfig, twist_t
 
 
 def x_pow(k):
@@ -149,6 +155,55 @@ class TestCanonicalForm:
                 assert _laurent_gcd(e.num, e.den).is_one
 
 
+class TestExactDivision:
+    def test_stride_quotient(self):
+        # (x^8 - 1/4) / (x^4 - 1/2) = x^4 + 1/2, on stride 4
+        a = LaurentPoly({8: 1, 0: Fraction(-1, 4)})
+        g = LaurentPoly({4: 1, 0: Fraction(-1, 2)})
+        assert _exact_div(a, g) == LaurentPoly({4: 1, 0: Fraction(1, 2)})
+        # a shifted dividend keeps its x-unit: x^3 (3x^16 - 3) / (x^8 - 1)
+        a = LaurentPoly({19: 3, 3: -3})
+        assert _exact_div(a, LaurentPoly({8: 1, 0: -1})) == LaurentPoly({11: 3, 3: 3})
+
+    def test_inexact_divisor_raises(self):
+        cases = [
+            ({8: 1, 0: 1}, {4: 1, 0: 2}),        # stride 4, remainder 5
+            ({8: 1, 4: 1}, {8: 1, 0: 1}),        # strides 4 and 8 mixed
+            ({1: 1, 0: 1}, {1: 2, 0: 1}),        # leading 1 / 2 not integral
+            ({3: 2, 0: 1}, {1: 2, 0: 1}),        # second leading -1 / 2 not integral
+            ({3: 1, 0: 1}, {5: 1, 0: 1}),        # divisor of higher degree
+        ]
+        for a, g in cases:
+            with pytest.raises(ArithmeticError, match="inexact"):
+                _exact_div(LaurentPoly(a), LaurentPoly(g))
+
+
+class TestIntegerStorage:
+    def assert_stored_ints(self, *polys):
+        for p in polys:
+            assert type(p.denom) is int and p.denom > 0
+            assert all(type(c) is int for c in p.terms.values())
+            assert all(p.terms.values())
+            assert math.gcd(p.denom, *p.terms.values()) == 1
+
+    def test_every_operation_stores_ints(self):
+        half = Fraction(1, 2)
+        a = RingElem(LaurentPoly({4: half, 0: Fraction(3, 2)}),
+                     LaurentPoly({8: Fraction(5, 2), 0: half}))
+        b = RingElem(LaurentPoly({1: Fraction(-7, 2), -3: 1}))
+        p = LaurentPoly({4: half, -4: Fraction(-3, 2)})
+        self.assert_stored_ints(p, -p, p + p, p - p, p * p, p ** 3, p.shift(5),
+                                p.scale(Fraction(2, 3)), LaurentPoly.monomial(2, half))
+        for e in (a, b, a + b, a - b, a * b, a / b, -a, a.inverse(), a ** 3, b ** -2,
+                  a * half, half - a, RingElem.from_json(a.to_json())):
+            self.assert_stored_ints(e.num, e.den)
+
+    def test_integer_polynomials_have_denominator_one(self):
+        p = LaurentPoly({2: Fraction(1, 2), 0: Fraction(3, 2)})
+        assert (p + p).denom == 1 and (p + p).terms == {2: 1, 0: 3}
+        assert q_binomial(6, 3).num.denom == 1
+
+
 class TestFieldAxioms:
     def test_randomized_axioms(self):
         rng = random.Random(2024)
@@ -194,6 +249,19 @@ class TestEvaluate:
             assert abs(sv - (av + bv)) <= 1e-12 * scale_s
             assert abs(pv - av * bv) <= 1e-12 * scale_p
 
+    def test_half_integer_twist_entries_evaluate_term_by_term(self):
+        # evaluate keeps the double arithmetic of a Fraction-coefficient sum,
+        # term by term in storage order, so numeric output cannot drift
+        def reference(p, x0):
+            return sum(complex(Fraction(c, p.denom)) * x0 ** e for e, c in p.terms.items())
+
+        config = TwistConfig(beta1=Fraction(7, 2))
+        for d in range(1, 6):
+            for entry in (a for row in twist_t(d, config).entries for a in row):
+                for q0 in (0.7, 1.3):
+                    x0 = complex(q0) ** 0.125
+                    assert entry.evaluate(q0) == reference(entry.num, x0) / reference(entry.den, x0)
+
     def test_denominator_zero_reported(self):
         e = ONE / (X - ONE)
         with pytest.raises(ValueError):
@@ -217,6 +285,31 @@ class TestQCombinatorics:
     def test_factorial(self):
         assert q_factorial(0) == ONE
         assert q_factorial(3) == q_int(2) * q_int(3)
+
+    def test_factorial_table_fill_is_thread_safe(self):
+        # four threads fill an emptied table at once; a lost check-then-append
+        # race stores a factorial at the wrong index
+        expected = [ONE]
+        for k in range(1, 26):
+            expected.append(expected[-1] * q_int(k))
+        saved_table = qring._FACT_CACHE[:]
+        saved_interval = sys.getswitchinterval()
+        try:
+            for _ in range(5):
+                del qring._FACT_CACHE[1:]
+                sys.setswitchinterval(1e-6)
+                threads = [threading.Thread(target=q_factorial, args=(25,))
+                           for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                sys.setswitchinterval(saved_interval)
+                assert not any(t.is_alive() for t in threads)
+                assert qring._FACT_CACHE == expected
+        finally:
+            sys.setswitchinterval(saved_interval)
+            qring._FACT_CACHE[:] = saved_table
 
     def test_binomial_values(self):
         assert q_binomial(2, 1) == q_int(2)

@@ -1,0 +1,119 @@
+"""The ring core against sympy as an independent reference.
+
+Canonical forms after + - * /, the gcd of polynomial parts and the Gaussian
+binomials are recomputed with sympy's `cancel`, `gcd` and `Poly` division on
+seeded random inputs: integer, half-integer and 1/3 coefficients on exponent
+strides 1, 4 and 8.  Every sympy input is built from the same plain
+coefficient dicts as the qweyl input, never from a qweyl result.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from qweyl.qring import LaurentPoly, RingElem, _laurent_gcd, q_binomial
+
+sympy = pytest.importorskip("sympy")
+
+x = sympy.Symbol("x")
+KINDS = {"integer": 1, "half": 2, "third": 3}
+STRIDES = (1, 4, 8)
+CASES = [(kind, stride) for kind in KINDS for stride in STRIDES]
+
+
+def rand_coeffs(rng, denom, stride, max_terms=4, span=3):
+    """Random nonzero {exponent: Fraction}, exponents on off + stride * Z."""
+    off = rng.randint(-3, 3)
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = off + stride * rng.randint(-span, span)
+        terms[e] = terms.get(e, 0) + Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]),
+                                              rng.choice([1, denom]))
+    terms = {e: c for e, c in terms.items() if c}
+    return terms or {off: Fraction(1, denom)}
+
+
+def integer_polys(*parts):
+    """The parts as integer sympy Polys, all multiplied by one scalar and
+    one power of x, so that their ratios are unchanged."""
+    low = min(min(part) for part in parts)
+    scale = math.lcm(*(c.denominator for part in parts for c in part.values()))
+    return [sympy.Poly.from_dict({(e - low,): int(c * scale) for e, c in part.items()},
+                                 x, domain="ZZ")
+            for part in parts]
+
+
+def poly_coeffs(poly, shift=0, scale=1):
+    """{exponent - shift: Fraction} of a sympy Poly divided by scale."""
+    out = {}
+    for (e,), c in poly.terms():
+        c = sympy.Rational(c) / scale
+        out[e - shift] = Fraction(int(c.p), int(c.q))
+    return out
+
+
+def sympy_canonical(num, den):
+    """(num, den) coefficient dicts of num / den: den monic, lowest exponent 0."""
+    if num.is_zero:
+        return {}, {0: Fraction(1)}
+    num, den = num.cancel(den, include=True)
+    low = min(e for (e,) in den.monoms())
+    lead = den.LC()
+    return poly_coeffs(num, low, lead), poly_coeffs(den, low, lead)
+
+
+def stored(p):
+    """Coefficients read straight from the storage fields, which must hold
+    nonzero ints over a positive int denominator in lowest terms."""
+    assert type(p.denom) is int and p.denom > 0
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert math.gcd(p.denom, *p.terms.values()) == 1
+    return {e: Fraction(c, p.denom) for e, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("kind, stride", CASES)
+def test_canonical_forms_match_cancel(kind, stride):
+    rng = random.Random("canonical-%s-%d" % (kind, stride))
+    denom = KINDS[kind]
+    for _ in range(10):
+        parts = [rand_coeffs(rng, denom, stride) for _ in range(4)]
+        a = RingElem(LaurentPoly(parts[0]), LaurentPoly(parts[1]))
+        b = RingElem(LaurentPoly(parts[2]), LaurentPoly(parts[3]))
+        na, da = integer_polys(parts[0], parts[1])
+        nb, db = integer_polys(parts[2], parts[3])
+        for got, (num, den) in ((a, (na, da)), (a + b, (na * db + nb * da, da * db)),
+                                (a - b, (na * db - nb * da, da * db)),
+                                (a * b, (na * nb, da * db)), (a / b, (na * db, da * nb))):
+            assert (stored(got.num), stored(got.den)) == sympy_canonical(num, den), got
+
+
+@pytest.mark.parametrize("kind, stride", CASES)
+def test_gcd_matches_sympy(kind, stride):
+    rng = random.Random("gcd-%s-%d" % (kind, stride))
+    denom = KINDS[kind]
+    for _ in range(8):
+        f, g, h = (integer_polys(rand_coeffs(rng, denom, stride))[0] for _ in range(3))
+        fg, fh = f * g, f * h
+        got = _laurent_gcd(LaurentPoly(poly_coeffs(fg, 5)), LaurentPoly(poly_coeffs(fh, -2)))
+        # the gcd of the polynomial parts, free of x-power units
+        common = sympy.gcd(fg, fh).monic()
+        low = min(e for (e,) in common.monoms())
+        assert stored(got) == poly_coeffs(common, low), (fg, fh)
+
+
+def test_q_binomial_matches_gaussian_product():
+    # [n over k] = q^(-k(n-k)/2) prod_i (1 - q^(n-k+i)) / (1 - q^i), q = x^8
+    for n in range(13):
+        for k in range(n + 1):
+            top = sympy.Poly(1, x)
+            bottom = sympy.Poly(1, x)
+            for i in range(1, k + 1):
+                top *= sympy.Poly(1 - x ** (8 * (n - k + i)), x)
+                bottom *= sympy.Poly(1 - x ** (8 * i), x)
+            quot, rem = sympy.div(top, bottom)
+            assert rem.is_zero
+            got = q_binomial(n, k)
+            assert got.den.is_one
+            assert stored(got.num) == poly_coeffs(quot, 4 * k * (n - k)), (n, k)
