@@ -52,4 +52,4 @@ print()
 print("== the twist at q = 0.7 in the mirror-symmetric basis (d = 3) ==")
 m = symmetric_basis_matrix(3, ONE, 0.7)
 with np.printoptions(precision=6, suppress=True):
-    print(m.real)
+    print(np.array(m).real)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .repn import QMatrix, embed
 from .reports import Check, Report, matrix_check
 from .rmat import braid_matrix
@@ -25,6 +23,16 @@ def max_exact_dim():
     """Row-count ceiling for exact bundles; override with QW_MAX_EXACT_DIM."""
     value = os.environ.get("QW_MAX_EXACT_DIM")
     return int(value) if value else DEFAULT_MAX_EXACT_DIM
+
+
+def check_exact_rows(rows, what):
+    """Refuse exact work whose largest matrix has more than max_exact_dim()
+    rows; `what` names the input that asked for it."""
+    ceiling = max_exact_dim()
+    if rows > ceiling:
+        raise ValueError(
+            "%s needs an exact matrix of %d rows, above the ceiling %d "
+            "(set QW_MAX_EXACT_DIM to raise it)" % (what, rows, ceiling))
 
 
 @dataclass(frozen=True)
@@ -85,13 +93,13 @@ def zbn_generators(d, n, config):
     legs (i, i+1).  Exact mode refuses bundles above the size ceiling."""
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
-    size = d ** n
     ceiling = max_exact_dim()
-    if size > ceiling:
+    # the strand count is tested first, so that d ** n stays small
+    if n > ceiling or d ** n > ceiling:
         raise ValueError(
-            "exact bundle of %d rows exceeds the ceiling %d "
+            "exact bundle V%d^(x%d) exceeds the ceiling of %d rows or strands "
             "(set QW_MAX_EXACT_DIM to raise it, or evaluate numerically)"
-            % (size, ceiling))
+            % (d, n, ceiling))
     b = braid_matrix(d)
     gens = [embed(twist_t(d, config), right=d ** (n - 1))]
     gens += [embed(b, left=d ** (i - 1), right=d ** (n - i - 1)) for i in range(1, n)]
@@ -101,6 +109,8 @@ def zbn_generators(d, n, config):
 def zbn_generators_numeric(d, n, q0, config):
     """Generator matrices evaluated at q = q0, as numpy arrays.  Not subject
     to the exact-mode size ceiling."""
+    import numpy as np
+
     def eye(k):
         return np.eye(d ** k, dtype=complex)
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .braidrep import (
     BraidWord,
+    check_exact_rows,
     eval_braid_word,
     verify_affine_relation,
     verify_zbn_relations,
@@ -37,6 +38,18 @@ from .twist import (
     verify_reference_matrices,
     verify_zdelta,
 )
+
+MAX_COEFF_INDEX = 16
+"""Largest coefficient index that `coeffs --count` and `verify --max-sum`
+accept.  The tables grow fast: beta_coeffs(16, x^4) takes about 4 s on a
+2-vCPU host, and each further index roughly doubles that."""
+
+
+def _check_coeff_index(n, option):
+    if n > MAX_COEFF_INDEX:
+        raise ValueError("%s %d exceeds the limit %d on the coefficient index"
+                         % (option, n, MAX_COEFF_INDEX))
+
 
 # ---------------------------------------------------------------------------
 # output helpers
@@ -100,8 +113,10 @@ def _fmt_complex(v):
 
 
 def _print_numeric(mat, fmt, out):
+    """Print a numeric matrix given as rows of complex numbers (a list of
+    lists or a numpy array)."""
     if fmt == "json":
-        payload = {"rows": mat.shape[0], "cols": mat.shape[1],
+        payload = {"rows": len(mat), "cols": len(mat[0]),
                    "entries": [[[v.real, v.imag] for v in row] for row in mat]}
         print(json.dumps(payload), file=out)
     else:
@@ -205,6 +220,7 @@ def _build_parser():
 
 
 def _cmd_irrep(args, out):
+    check_exact_rows(args.dim, "--dim %d" % args.dim)
     rep = irrep(args.dim)
     for name, mat in (("H", rep.H), ("X", rep.X), ("Y", rep.Y),
                       ("E", rep.E), ("F", rep.F), ("K", rep.K),
@@ -219,11 +235,13 @@ def _cmd_rmatrix(args, out):
         da, db = (int(v) for v in args.dims.split(","))
     except ValueError:
         raise ValueError("--dims expects two comma-separated integers")
+    check_exact_rows(da * db, "--dims %d,%d" % (da, db))
     _print_matrix(r_matrix(da, db), args.format, args.at_q, out)
     return 0
 
 
 def _cmd_twist(args, out):
+    check_exact_rows(args.dim, "--dim %d" % args.dim)
     config = _config(args)
     if args.basis == "symmetric":
         if args.at_q is None:
@@ -239,6 +257,7 @@ def _cmd_twist(args, out):
 
 
 def _cmd_coeffs(args, out):
+    _check_coeff_index(args.count, "--count")
     table = beta_coeffs(args.count, _beta1(args))
     if args.format == "json":
         payload = {
@@ -265,6 +284,9 @@ def _cmd_zbn(args, out):
         return 0 if report.ok else 1
     word = BraidWord.parse(args.word, args.strands)
     if args.at_q is not None:
+        # the numeric bundle is not capped, but it evaluates the exact
+        # twist and braid matrix, of d and d^2 rows
+        check_exact_rows(args.dim ** 2, "--dim %d" % args.dim)
         import numpy as np
         gens = zbn_generators_numeric(args.dim, args.strands, args.at_q, config)
         inverses = {idx: np.linalg.inv(gens[idx])
@@ -280,6 +302,9 @@ def _cmd_zbn(args, out):
 
 
 def _verify_reports(args):
+    # the largest exact matrix is a product on V_d (x) V_d, d = --max-dim
+    check_exact_rows(max(args.max_dim, 0) ** 2, "--max-dim %d" % args.max_dim)
+    _check_coeff_index(args.max_sum, "--max-sum")
     beta1 = _beta1(args)
     suite = args.suite
     reports = []

@@ -40,17 +40,23 @@ def _int_primitive(ints):
 
 
 def _int_pseudo_rem(a, b):
-    # fraction-free remainder: repeatedly a := lc(b)*a - lc(a)*x^k*b
+    # fraction-free remainder: repeatedly a := (lc(b)/g)*a - (lc(a)/g)*x^k*b
+    # with g = gcd(lc(a), lc(b)) > 0.  Each step differs from the classical
+    # lc(b)*a - lc(a)*x^k*b by the positive factor 1/g only, so the
+    # primitive part of the result, and with it the gcd, is the same.
     a = a[:]
     db = len(b) - 1
     lb = b[-1]
     while a and len(a) - 1 >= db:
         la = a[-1]
+        g = math.gcd(la, lb)
+        mb, ma = lb // g, la // g
         shift = len(a) - 1 - db
-        for i in range(len(a)):
-            a[i] *= lb
+        if mb != 1:
+            for i in range(len(a)):
+                a[i] *= mb
         for i in range(len(b)):
-            a[shift + i] -= la * b[i]
+            a[shift + i] -= ma * b[i]
         _trim(a)
     return a
 
@@ -632,6 +638,21 @@ def q_binomial(n, k):
 # small expression grammar for ring elements: rationals, x, q (= x^8),
 # ^, *, /, +, -, parentheses.  Used by the command line interface.
 
+MAX_POWER_SIZE = 512
+"""Largest |n| * size(b) accepted for a power b^n in an expression, where
+size(b) is the larger of b's highest |exponent of x| and the bit length of
+its largest integer coefficient or denominator, and at least 1.  The bound
+caps the degree and the coefficient size of every power, nested or not:
+(1+x)^512 and 2^256 parse; (1+x)^513, 2^257 and (x^2)^257 do not."""
+
+
+def _power_size(v):
+    size = 1
+    for p in (v.num, v.den):
+        size = max(size, p.denom.bit_length(), *map(abs, p.terms),
+                   *(c.bit_length() for c in p.terms.values()))
+    return size
+
 
 def _tokenize(s):
     tokens = []
@@ -697,7 +718,12 @@ class _Parser:
         value = self.atom()
         while self.peek() == "^":
             self.next()
-            value = value ** self.exponent()
+            n = self.exponent()
+            if abs(n) * _power_size(value) > MAX_POWER_SIZE:
+                raise ValueError("power ^%d is too large: |exponent| times the "
+                                 "size of its base must be at most %d"
+                                 % (n, MAX_POWER_SIZE))
+            value = value ** n
         return value
 
     def atom(self):

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-import numpy as np
-
 from .qring import ONE, ZERO, RingElem, as_elem, q_int
 
 
@@ -175,6 +173,9 @@ class QMatrix:
     # -- numeric bridge ---------------------------------------------------------
 
     def evaluate(self, q0):
+        """The matrix at q = q0 as a complex numpy array."""
+        import numpy as np
+
         out = np.empty((self.rows, self.cols), dtype=complex)
         for i, row in enumerate(self.entries):
             for j, a in enumerate(row):

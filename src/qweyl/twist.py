@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .qring import ONE, ZERO, RingElem, as_elem, q_binomial, q_factorial, q_int, q_power
 from .repn import QMatrix, embed, irrep, kron, powers, tensor_series, x_diagonal
 from .reports import Check, Report, matrix_check
@@ -35,6 +33,10 @@ from .rmat import (
 )
 
 VARIANTS = ("standard", "w_inverse", "k_conjugate", "u_conjugate", "affine")
+
+BETA1_CACHE_SIZE = 256
+"""Entries kept by each cache keyed by a beta1 or a TwistConfig, least
+recently used first out.  `verify all --max-dim 3` fills at most 28."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class CoeffTable:
     alphas: tuple
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BETA1_CACHE_SIZE)
 def beta_coeffs(n_max, beta1):
     """Coefficient tables up to index n_max for the given beta_1."""
     beta1 = as_elem(beta1)
@@ -131,14 +133,14 @@ def _borel_series(d, coeffs):
         for m in range(d))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BETA1_CACHE_SIZE)
 def zhat(d, beta1):
     """The unipotent Borel factor of the twist."""
     table = beta_coeffs(d - 1, as_elem(beta1))
     return _borel_series(d, table.betas)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BETA1_CACHE_SIZE)
 def zhat_inverse(d, beta1):
     """Inverse of zhat via the coefficient recursion
     alpha_a = -sum_{m=1..a} beta_m alpha_{a-m} q^(-m(a-m)/2), alpha_0 = 1."""
@@ -146,7 +148,7 @@ def zhat_inverse(d, beta1):
     return _borel_series(d, table.alphas)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BETA1_CACHE_SIZE)
 def z_elem(d, beta1):
     """z = q^(-H^2/8) zhat."""
     return x_diagonal(-h * h for h in irrep(d).weights) * zhat(d, as_elem(beta1))
@@ -171,7 +173,7 @@ def weyl_w(d):
     return QMatrix(entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BETA1_CACHE_SIZE)
 def twist_t(d, config):
     """The cylinder-twist matrix in the d-dim irrep for the given family member."""
     z = z_elem(d, config.beta1)
@@ -196,7 +198,7 @@ def twist_t(d, config):
 # coproducts
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BETA1_CACHE_SIZE)
 def coproduct_zhat(da, db, beta1):
     """Coproduct of zhat on V_a (x) V_b via the closed double sum
 
@@ -215,7 +217,7 @@ def coproduct_zhat(da, db, beta1):
         for i in range(max(0, m - (db - 1)), min(m, da - 1) + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BETA1_CACHE_SIZE)
 def coproduct_z(da, db, beta1):
     """Coproduct of z: q^(-(H (x) 1 + 1 (x) H)^2 / 8) coproduct(zhat)."""
     beta1 = as_elem(beta1)
@@ -406,24 +408,24 @@ def verify_inverse(max_dim, beta1):
 
 
 def _ref_matrix_2(q, b1):
-    return np.array([
+    return [
         [-b1 * q ** -0.5, -q ** -0.75],
         [q ** -0.25, 0.0],
-    ])
+    ]
 
 
 def _ref_matrix_3(q, b1):
     root = math.sqrt(q + 1)
-    return np.array([
+    return [
         [(1 - q + q * b1 ** 2) / q ** 2, q ** -1.75 * root * b1, q ** -2.0],
         [-q ** -1.25 * b1 * root, -1 / q, 0.0],
         [1 / q, 0.0, 0.0],
-    ])
+    ]
 
 
 def _ref_matrix_4(q, b1):
     g = math.sqrt(1 + q + q * q)
-    return np.array([
+    return [
         [-q ** -3.5 * b1 * (1 + q - 2 * q * q + q * q * b1 ** 2),
          q ** -3.75 * g * (q - 1 - q * b1 ** 2),
          -q ** -3.5 * g * b1,
@@ -434,34 +436,39 @@ def _ref_matrix_4(q, b1):
          0.0],
         [-q ** -2.5 * g * b1, -q ** -1.75, 0.0, 0.0],
         [q ** -2.25, 0.0, 0.0, 0.0],
-    ])
+    ]
 
 
 REFERENCE_MATRICES = {2: _ref_matrix_2, 3: _ref_matrix_3, 4: _ref_matrix_4}
 
 
 def symmetric_basis_matrix(d, beta1, q0):
-    """The twist evaluated at q0 in the mirror-symmetric basis.
+    """The twist evaluated at q0 in the mirror-symmetric basis, as rows of
+    complex numbers.
 
     The exact core works in the basis where the lowering operator has unit
     entries; the displayed closed forms live in the basis where raising and
     lowering have equal square-root entries.  The bridge is the diagonal
     D_0 = 1, D_{k+1} = D_k / sqrt([k+1][d-1-k]) together with the overall
     scale 1/[d-1]!, which restores the corner normalization q^(-(d-1)^2/4).
+    Entry (i, j) is (scale * (t_ij * (1/D_i))) * D_j, the order of the
+    floating-point operations that fixes the printed digits.
     """
-    t_num = twist_t(d, TwistConfig(beta1=beta1)).evaluate(q0)
+    t = twist_t(d, TwistConfig(beta1=beta1))
     coupling = [q_int(k + 1).evaluate(q0).real * q_int(d - 1 - k).evaluate(q0).real
                 for k in range(d - 1)]
     dvec = [1.0]
     for k in range(d - 1):
         dvec.append(dvec[-1] / math.sqrt(coupling[k]))
-    dvec = np.array(dvec)
     scale = 1.0 / q_factorial(d - 1).evaluate(q0).real
-    return scale * (t_num / dvec[:, None]) * dvec[None, :]
+    return [[(scale * (a.evaluate(q0) * (1.0 / di))) * dj
+             for a, dj in zip(row, dvec)]
+            for row, di in zip(t.entries, dvec)]
 
 
 def compare_reference_matrix(d, beta1_value, q0):
-    """Max-abs entrywise residual against the known d-dimensional matrix."""
+    """Max-abs entrywise residual against the known d-dimensional matrix;
+    NaN if any entry's residual is NaN."""
     if d not in REFERENCE_MATRICES:
         raise ValueError("closed-form matrices are known for d in {2, 3, 4}")
     if not (q0 > 0) or q0 == 1:
@@ -469,7 +476,10 @@ def compare_reference_matrix(d, beta1_value, q0):
     b1 = Fraction(beta1_value)
     got = symmetric_basis_matrix(d, RingElem.from_rational(b1), q0)
     want = REFERENCE_MATRICES[d](float(q0), float(b1))
-    return float(np.max(np.abs(got - want)))
+    residuals = [abs(g - w) for rg, rw in zip(got, want) for g, w in zip(rg, rw)]
+    if any(math.isnan(r) for r in residuals):
+        return math.nan
+    return max(residuals)
 
 
 def verify_reference_matrices(beta1_values=(0, 1, 2), q0_values=(0.7, 1.3),

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
 from qweyl import cli
+from qweyl.braidrep import max_exact_dim
 from qweyl.qring import ONE, RingElem
 from qweyl.repn import QMatrix
 from qweyl.reports import Check, Report
@@ -182,3 +187,96 @@ class TestUsageErrors:
     def test_missing_subcommand(self):
         code, _ = run_cli()
         assert code == 2
+
+
+class TestSizeLimits:
+    REFUSED = [
+        ("twist", "--dim", "5000"),
+        ("irrep", "--dim", "300"),
+        ("rmatrix", "--dims", "17,17"),
+        ("verify", "four-braid", "--max-dim", "40"),
+        ("verify", "bform", "--max-sum", "40"),
+        ("coeffs", "--count", "100"),
+        ("coeffs", "--count", "2", "--beta1", "(1+x)^100000"),
+        ("twist", "--dim", "2", "--beta1", "((1+x)^99)^99"),
+        ("twist", "--dim", "2", "--beta1", "2^100000000"),
+        ("zbn", "--dim", "3", "--strands", "1000000000"),
+        ("zbn", "--dim", "1", "--strands", "1000", "--word", "0"),
+        ("zbn", "--dim", "5000", "--strands", "1", "--word", "0", "--at-q", "0.7"),
+    ]
+
+    @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+    def test_refused_quickly(self, argv, capsys):
+        start = time.perf_counter()
+        code, out = run_cli(*argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert elapsed < 1.0
+
+    def test_ceiling_override(self, monkeypatch, capsys):
+        monkeypatch.setenv("QW_MAX_EXACT_DIM", "8")
+        assert run_cli("rmatrix", "--dims", "3,3")[0] == 2
+        assert "9 rows, above the ceiling 8" in capsys.readouterr().err
+        assert run_cli("twist", "--dim", "9")[0] == 2
+        assert run_cli("verify", "four-braid", "--max-dim", "3")[0] == 2
+        assert run_cli("rmatrix", "--dims", "2,4")[0] == 0
+        assert run_cli("twist", "--dim", "8")[0] == 0
+
+    def test_limits_admit_the_sizes_in_use(self):
+        # the largest sizes the benchmark and the tests ask for
+        assert cli.MAX_COEFF_INDEX >= 13
+        assert max_exact_dim() >= 5 * 5
+        assert run_cli("coeffs", "--count", "2", "--beta1", "(1+x)^64")[0] == 0
+
+
+def _run_python(code):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestNumpyImport:
+    """numpy is the numeric bridge only: exact commands never import it."""
+
+    EXACT = [
+        ["verify", "all", "--max-dim", "2"],
+        ["verify", "four-braid", "--max-dim", "2", "--beta1=7/2"],
+        ["verify", "zbn", "--dim", "2", "--strands", "3"],
+        ["coeffs", "--count", "6", "--format", "json"],
+        ["zbn", "--dim", "2", "--strands", "3", "--word", "0 1 0' 2",
+         "--format", "json"],
+    ]
+
+    def test_exact_commands_do_not_import_numpy(self):
+        result = _run_python(
+            "import io, json, sys\n"
+            "import qweyl, qweyl.cli\n"
+            "seen = ['numpy' in sys.modules]\n"
+            "for argv in %r:\n"
+            "    assert qweyl.cli.run(argv, out=io.StringIO()) == 0, argv\n"
+            "    seen.append('numpy' in sys.modules)\n"
+            "print(json.dumps(seen))\n" % (self.EXACT,))
+        assert result == [False] * (1 + len(self.EXACT))
+
+    def test_at_q_command_loads_numpy(self):
+        argv = ["zbn", "--dim", "2", "--strands", "3", "--beta1", "1",
+                "--word", "0 1 0' 2", "--at-q", "0.7"]
+        result = _run_python(
+            "import hashlib, io, json, sys\n"
+            "import qweyl.cli\n"
+            "before = 'numpy' in sys.modules\n"
+            "buf = io.StringIO()\n"
+            "assert qweyl.cli.run(%r, out=buf) == 0\n"
+            "print(json.dumps([before, 'numpy' in sys.modules,\n"
+            "                  hashlib.sha256(buf.getvalue().encode()).hexdigest()]))\n"
+            % (argv,))
+        # the digest is the golden one for this command line
+        assert result == [False, True, "f9d650a5ee0e62b99c8699cb60364597"
+                                       "fb6dc8db6ae51c07ffe07e77c2c7eeb4"]

@@ -41,6 +41,13 @@ GOLDEN = [
     (("zbn", "--dim", "2", "--strands", "3", "--beta1", "1/3",
       "--word", "0 1 0' 2", "--at-q", "0.7"),
      "84492747ba0f8658e15e39ecafa3ad8b4ac1b92a61c10851fe755a0199e1573c"),
+    # the symmetric-basis bridge: floating-point operation order pinned
+    (("twist", "--dim", "4", "--beta1", "7/2", "--basis", "symmetric",
+      "--at-q", "0.7"),
+     "c13393d9dbfabd6bbbf87079d795420bafea9eeda2b3c8d190e08f1a7684ddf4"),
+    (("twist", "--dim", "4", "--beta1", "7/2", "--basis", "symmetric",
+      "--at-q", "0.7", "--format", "json"),
+     "17a0b835bb7ce7dc1a9cbb29d448b9defd1a6e9bc68a9c91a9daae2f94eb62ad"),
 ]
 
 

@@ -383,3 +383,16 @@ class TestExpressionParser:
         for bad in ("", "x +", "y", "x^z", "(x", "1/0"):
             with pytest.raises(ValueError):
                 parse_ring_elem(bad)
+
+    def test_power_size_limit(self):
+        assert qring.MAX_POWER_SIZE == 512
+        assert parse_ring_elem("x^512") == x_pow(512)
+        assert parse_ring_elem("x^-512") == x_pow(-512)
+        assert parse_ring_elem("2^256") == RingElem.from_rational(2 ** 256)
+        assert parse_ring_elem("(1/3)^256") == RingElem.from_rational(Fraction(1, 3 ** 256))
+        assert parse_ring_elem("(q^-1)^64") == x_pow(-512)
+        assert parse_ring_elem("((1+x)^16)^32") == (X + ONE) ** 512
+        for bad in ("x^513", "x^-513", "2^257", "(x^2)^257", "(q^-1)^65",
+                    "((1+x)^16)^33", "(1+x)^100000", "2^100000000"):
+            with pytest.raises(ValueError, match="too large"):
+                parse_ring_elem(bad)

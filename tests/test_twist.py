@@ -7,7 +7,10 @@ import pytest
 from qweyl.qring import ONE, ZERO, RingElem, q_factorial, q_int, q_power
 from qweyl.repn import QMatrix, irrep, kron, x_diagonal
 from qweyl.rmat import r_inverse, r_matrix, r21
+from qweyl import twist
 from qweyl.twist import (
+    BETA1_CACHE_SIZE,
+    REFERENCE_MATRICES,
     CoeffTable,
     TwistConfig,
     beta_coeffs,
@@ -323,6 +326,54 @@ class TestReferenceMatrices:
         rep = verify_reference_matrices()
         assert rep.ok, rep.lines()
 
+    def test_symmetric_basis_matches_numpy_formula(self):
+        # the former numpy expression is the reference, entry for entry,
+        # down to the sign of zero
+        for d in range(1, 6):
+            for b1 in (B0, B1, RingElem.from_rational(Fraction(-7, 2))):
+                for q0 in (0.31, 0.7, 1.3, 5.5):
+                    t_num = twist_t(d, TwistConfig(beta1=b1)).evaluate(q0)
+                    dvec = [1.0]
+                    for k in range(d - 1):
+                        dvec.append(dvec[-1] / math.sqrt(
+                            q_int(k + 1).evaluate(q0).real
+                            * q_int(d - 1 - k).evaluate(q0).real))
+                    dvec = np.array(dvec)
+                    scale = 1.0 / q_factorial(d - 1).evaluate(q0).real
+                    want = scale * (t_num / dvec[:, None]) * dvec[None, :]
+                    got = symmetric_basis_matrix(d, b1, q0)
+                    assert [[(repr(v.real), repr(v.imag)) for v in row]
+                            for row in got] == \
+                        [[(repr(v.real), repr(v.imag)) for v in map(complex, row)]
+                         for row in want]
+
+    def test_tampered_reference_fails(self, monkeypatch):
+        # negative twin: one entry of one closed form moved by 1e-6
+        true_ref = REFERENCE_MATRICES[3]
+
+        def tampered(q, b1):
+            rows = true_ref(q, b1)
+            rows[1][0] += 1e-6
+            return rows
+
+        monkeypatch.setitem(REFERENCE_MATRICES, 3, tampered)
+        assert abs(compare_reference_matrix(3, 1, 0.7) - 1e-6) < 1e-9
+        rep = verify_reference_matrices()
+        assert not rep.ok
+        failed = [line for line in rep.lines() if line.startswith("FAIL")]
+        assert len(failed) == 6
+        assert all("d=3" in line and "[residual 1.000e-06]" in line
+                   for line in failed)
+
+    def test_overflow_residual_is_nan(self):
+        # at q0 = 1e80 some entries of the 4-dim twist evaluate to inf/inf;
+        # with beta1 = 0 the first entry's residual is 0.0 and later ones
+        # are NaN, so a plain max() would report 0.0 and pass
+        assert math.isnan(compare_reference_matrix(4, 0, 1e80))
+        rep = verify_reference_matrices(beta1_values=(0,), q0_values=(1e80,))
+        assert rep.lines()[-1] == \
+            "FAIL closed-form matrix d=4 beta1=0 q0=1e+80  [residual nan]"
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             compare_reference_matrix(5, 0, 0.7)
@@ -330,3 +381,21 @@ class TestReferenceMatrices:
             compare_reference_matrix(2, 0, 1.0)
         with pytest.raises(ValueError):
             compare_reference_matrix(2, 0, -0.5)
+
+
+class TestCacheBounds:
+    CACHES = ("beta_coeffs", "zhat", "zhat_inverse", "z_elem", "twist_t",
+              "coproduct_zhat", "coproduct_z")
+
+    def test_distinct_beta1_values_stay_within_bound(self):
+        assert BETA1_CACHE_SIZE >= 4 * 28  # verify all --max-dim 3 fills 28
+        for k in range(1000):
+            b1 = RingElem.from_rational(Fraction(k, 7))
+            twist_t(2, TwistConfig(beta1=b1))
+            zhat_inverse(2, b1)
+            coproduct_z(1, 2, b1)
+        for name in self.CACHES:
+            info = getattr(twist, name).cache_info()
+            assert info.maxsize == BETA1_CACHE_SIZE, name
+            assert info.currsize <= BETA1_CACHE_SIZE, name
+            assert info.misses >= 1000, name
