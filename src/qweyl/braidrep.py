@@ -12,9 +12,9 @@ import os
 from dataclasses import dataclass
 
 from .repn import QMatrix, embed
-from .reports import Check, Report, matrix_check
+from .reports import Check, Report, matrix_check, matrix_report
 from .rmat import braid_matrix
-from .twist import TwistConfig, twist_t
+from .twist import TwistConfig, braid_form_sides, twist_t
 
 DEFAULT_MAX_EXACT_DIM = 256
 
@@ -181,10 +181,6 @@ def verify_affine_relation(d, beta1):
     """Check the shifted cylinder relation satisfied by the conjugated twist
     on V_d (x) V_d: (1 (x) F) B (1 (x) F) B = B (1 (x) F) B (1 (x) F)."""
     tbar = twist_t(d, TwistConfig(beta1=beta1, variant="affine"))
-    b = braid_matrix(d)
-    f2 = embed(tbar, left=d)
-    lhs = f2 * b * f2 * b
-    rhs = b * f2 * b * f2
-    return Report(title="affine relation d=%d" % d,
-                  checks=(matrix_check("affine cylinder relation on V%d (x) V%d"
-                                       % (d, d), lhs, rhs),))
+    return matrix_report("affine relation d=%d" % d, [
+        ("affine cylinder relation on V%d (x) V%d" % (d, d),
+         *braid_form_sides(d, tbar, affine=True))])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from .braidrep import (
     zbn_generators,
     zbn_generators_numeric,
 )
-from .qring import ONE, RingElem, parse_ring_elem
+from .qring import parse_ring_elem
 from .repn import irrep
 from .rmat import r_matrix
 from .reports import Report
@@ -145,16 +146,10 @@ def _print_report(report, out):
 # argument plumbing
 
 
-def _beta1(args):
-    return parse_ring_elem(args.beta1)
-
-
 def _config(args):
-    variant = getattr(args, "variant", "standard")
-    alpha = getattr(args, "alpha", None)
-    if alpha is not None:
-        alpha = Fraction(alpha)
-    return TwistConfig(beta1=_beta1(args), variant=variant, alpha=alpha)
+    alpha = None if args.alpha is None else Fraction(args.alpha)
+    return TwistConfig(beta1=parse_ring_elem(args.beta1), variant=args.variant,
+                       alpha=alpha)
 
 
 def _build_parser():
@@ -202,9 +197,8 @@ def _build_parser():
     add_format(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("four-braid", "zdelta", "bform",
-                                     "coproduct", "inverse", "zbn", "affine",
-                                     "paper-matrices", "all"))
+    p.add_argument("suite", choices=[name for name, (alone, _) in _SUITES.items()
+                                     if alone] + ["all"])
     p.add_argument("--max-dim", type=int, default=3)
     p.add_argument("--max-sum", type=int, default=8)
     p.add_argument("--beta1", default="1", metavar="EXPR")
@@ -258,26 +252,22 @@ def _cmd_twist(args, out):
 
 def _cmd_coeffs(args, out):
     _check_coeff_index(args.count, "--count")
-    table = beta_coeffs(args.count, _beta1(args))
+    table = beta_coeffs(args.count, parse_ring_elem(args.beta1))
+    columns = (("beta", "beta_%d  =", table.betas),
+               ("beta_prime", "beta'_%d =", table.beta_primes),
+               ("alpha", "alpha_%d =", table.alphas))
     if args.format == "json":
-        payload = {
-            "beta": [b.to_json() for b in table.betas],
-            "beta_prime": [b.to_json() for b in table.beta_primes],
-            "alpha": [a.to_json() for a in table.alphas],
-        }
-        print(json.dumps(payload), file=out)
+        print(json.dumps({key: [v.to_json() for v in values]
+                          for key, _, values in columns}), file=out)
     else:
-        for m in range(args.count + 1):
-            print("beta_%d  = %s" % (m, table.betas[m]), file=out)
-        for m in range(args.count + 1):
-            print("beta'_%d = %s" % (m, table.beta_primes[m]), file=out)
-        for m in range(args.count + 1):
-            print("alpha_%d = %s" % (m, table.alphas[m]), file=out)
+        for _, label, values in columns:
+            for m, value in enumerate(values):
+                print(label % m, value, file=out)
     return 0
 
 
 def _cmd_zbn(args, out):
-    config = TwistConfig(beta1=_beta1(args))
+    config = TwistConfig(beta1=parse_ring_elem(args.beta1))
     if args.word is None:
         report = verify_zbn_relations(args.dim, args.strands, config)
         _print_report(report, out)
@@ -301,63 +291,64 @@ def _cmd_zbn(args, out):
     return 0
 
 
+def _pairs(suite, args, *rest):
+    """suite(da, db, *rest) for every pair of dimensions up to --max-dim."""
+    dims = range(1, args.max_dim + 1)
+    return [suite(da, db, *rest) for da in dims for db in dims]
+
+
+def _variants(args, beta1):
+    """The four-braid suite for the other members of the solution family."""
+    configs = [TwistConfig(beta1=beta1, variant=v) for v in ("w_inverse", "u_conjugate")]
+    configs += [TwistConfig(beta1=beta1, variant="k_conjugate", alpha=alpha)
+                for alpha in (Fraction(1, 2), Fraction(-1, 2), Fraction(1))]
+    return [verify_four_braid(d, d, config)
+            for config in configs for d in range(1, min(args.max_dim, 3) + 1)]
+
+
+def _both(run):
+    return run, run
+
+
+# suite -> (its reports alone, its reports under `verify all`): functions of
+# (args, beta1) that look each verify_* up when called; `all` keeps this order
+_SUITES = {
+    "four-braid": _both(lambda args, beta1:
+                        _pairs(verify_four_braid, args, _config(args))),
+    "zdelta": _both(lambda args, beta1: _pairs(verify_zdelta, args, beta1)),
+    "bform": _both(lambda args, beta1: [verify_bform(args.max_sum, beta1)]),
+    "coproduct": _both(lambda args, beta1: [verify_coproduct(args.max_dim, beta1)]),
+    "inverse": _both(lambda args, beta1: [verify_inverse(max(args.max_dim, 6), beta1)]),
+    "zbn": (lambda args, beta1: [verify_zbn_relations(args.dim, args.strands,
+                                                      TwistConfig(beta1=beta1))],
+            lambda args, beta1: [verify_zbn_relations(d, 3, TwistConfig(beta1=beta1))
+                                 for d in range(2, min(args.max_dim, 3) + 1)]),
+    "affine": _both(lambda args, beta1: [verify_affine_relation(d, beta1)
+                                         for d in range(1, args.max_dim + 1)]),
+    "variants": (None, _variants),
+    "paper-matrices": _both(lambda args, beta1: [verify_reference_matrices()]),
+}
+
+
 def _verify_reports(args):
     # the largest exact matrix is a product on V_d (x) V_d, d = --max-dim
     check_exact_rows(max(args.max_dim, 0) ** 2, "--max-dim %d" % args.max_dim)
     _check_coeff_index(args.max_sum, "--max-sum")
-    beta1 = _beta1(args)
-    suite = args.suite
-    reports = []
-    if suite in ("four-braid", "all"):
-        config = _config(args)
-        for da in range(1, args.max_dim + 1):
-            for db in range(1, args.max_dim + 1):
-                reports.append(verify_four_braid(da, db, config))
-    if suite in ("zdelta", "all"):
-        for da in range(1, args.max_dim + 1):
-            for db in range(1, args.max_dim + 1):
-                reports.append(verify_zdelta(da, db, beta1))
-    if suite in ("bform", "all"):
-        reports.append(verify_bform(args.max_sum, beta1))
-    if suite in ("coproduct", "all"):
-        reports.append(verify_coproduct(args.max_dim, beta1))
-    if suite in ("inverse", "all"):
-        reports.append(verify_inverse(max(args.max_dim, 6), beta1))
-    if suite in ("zbn", "all"):
-        if suite == "zbn":
-            reports.append(verify_zbn_relations(args.dim, args.strands,
-                                                TwistConfig(beta1=beta1)))
-        else:
-            for d in range(2, min(args.max_dim, 3) + 1):
-                reports.append(verify_zbn_relations(d, 3, TwistConfig(beta1=beta1)))
-    if suite in ("affine", "all"):
-        for d in range(1, args.max_dim + 1):
-            reports.append(verify_affine_relation(d, beta1))
-    if suite == "all":
-        variant_configs = [TwistConfig(beta1=beta1, variant="w_inverse"),
-                           TwistConfig(beta1=beta1, variant="u_conjugate")]
-        for alpha in (Fraction(1, 2), Fraction(-1, 2), Fraction(1)):
-            variant_configs.append(TwistConfig(beta1=beta1,
-                                               variant="k_conjugate", alpha=alpha))
-        for config in variant_configs:
-            for d in range(1, min(args.max_dim, 3) + 1):
-                reports.append(verify_four_braid(d, d, config))
-    if suite in ("paper-matrices", "all"):
-        reports.append(verify_reference_matrices())
-    return reports
+    beta1 = parse_ring_elem(args.beta1)
+    if args.suite == "all":
+        runs = [under_all for _, under_all in _SUITES.values()]
+    else:
+        runs = [_SUITES[args.suite][0]]
+    return [report for run in runs for report in run(args, beta1)]
 
 
 def _cmd_verify(args, out):
     reports = _verify_reports(args)
-    all_ok = True
     for report in reports:
         _print_report(report, out)
-        all_ok = all_ok and report.ok
-    total = sum(len(r.checks) for r in reports)
-    passed = sum(1 for r in reports for c in r.checks if c.ok)
-    print("TOTAL: %d/%d checks passed%s"
-          % (passed, total, "" if all_ok else "  [FAILURES PRESENT]"), file=out)
-    return 0 if all_ok else 1
+    total = Report(title="TOTAL", checks=tuple(c for r in reports for c in r.checks))
+    print(total.summary() + ("" if total.ok else "  [FAILURES PRESENT]"), file=out)
+    return 0 if total.ok else 1
 
 
 _COMMANDS = {
@@ -379,9 +370,14 @@ def run(argv=None, out=None):
     except SystemExit as exc:
         return 0 if not exc.code else 2
     try:
+        if getattr(args, "at_q", None) is not None and not math.isfinite(args.at_q):
+            raise ValueError("--at-q must be a finite number, got %s" % args.at_q)
         return _COMMANDS[args.command](args, out)
     except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print("error: numeric overflow at --at-q: %s" % exc, file=sys.stderr)
         return 2
 
 

@@ -44,3 +44,8 @@ def matrix_check(name, lhs, rhs):
     i, j, a, b = diff
     return Check(name=name, ok=False,
                  detail="entry (%d,%d): %s != %s" % (i + 1, j + 1, a, b))
+
+
+def matrix_report(title, sides):
+    """A report of exact matrix equalities, one check per (name, lhs, rhs)."""
+    return Report(title=title, checks=tuple(matrix_check(*side) for side in sides))

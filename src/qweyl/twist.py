@@ -21,8 +21,9 @@ from functools import lru_cache
 
 from .qring import ONE, ZERO, RingElem, as_elem, q_binomial, q_factorial, q_int, q_power
 from .repn import QMatrix, embed, irrep, kron, powers, tensor_series, x_diagonal
-from .reports import Check, Report, matrix_check
+from .reports import Check, Report, matrix_report
 from .rmat import (
+    braid_matrix,
     cartan_factor,
     conjugated_r,
     drinfeld_u,
@@ -136,22 +137,20 @@ def _borel_series(d, coeffs):
 @lru_cache(maxsize=BETA1_CACHE_SIZE)
 def zhat(d, beta1):
     """The unipotent Borel factor of the twist."""
-    table = beta_coeffs(d - 1, as_elem(beta1))
-    return _borel_series(d, table.betas)
+    return _borel_series(d, beta_coeffs(d - 1, beta1).betas)
 
 
 @lru_cache(maxsize=BETA1_CACHE_SIZE)
 def zhat_inverse(d, beta1):
     """Inverse of zhat via the coefficient recursion
     alpha_a = -sum_{m=1..a} beta_m alpha_{a-m} q^(-m(a-m)/2), alpha_0 = 1."""
-    table = beta_coeffs(d - 1, as_elem(beta1))
-    return _borel_series(d, table.alphas)
+    return _borel_series(d, beta_coeffs(d - 1, beta1).alphas)
 
 
 @lru_cache(maxsize=BETA1_CACHE_SIZE)
 def z_elem(d, beta1):
     """z = q^(-H^2/8) zhat."""
-    return x_diagonal(-h * h for h in irrep(d).weights) * zhat(d, as_elem(beta1))
+    return x_diagonal(-h * h for h in irrep(d).weights) * zhat(d, beta1)
 
 
 @lru_cache(maxsize=None)
@@ -188,9 +187,7 @@ def twist_t(d, config):
         u = drinfeld_u(d)
         return weyl_w(d) * u * z * u
     if config.variant == "affine":
-        w = weyl_w(d)
-        t = w * z
-        return w.inverse() * t * w
+        return z * weyl_w(d)
     raise ValueError("unknown variant %r" % config.variant)
 
 
@@ -204,7 +201,6 @@ def coproduct_zhat(da, db, beta1):
 
     sum_m sum_i beta_m [m over i] (q^(H(i-2m)/4) Y^i) (x) (q^(H(i-m)/4) Y^(m-i)).
     """
-    beta1 = as_elem(beta1)
     m_max = (da - 1) + (db - 1)
     table = beta_coeffs(m_max, beta1)
     wa, wb = irrep(da).weights, irrep(db).weights
@@ -220,7 +216,6 @@ def coproduct_zhat(da, db, beta1):
 @lru_cache(maxsize=BETA1_CACHE_SIZE)
 def coproduct_z(da, db, beta1):
     """Coproduct of z: q^(-(H (x) 1 + 1 (x) H)^2 / 8) coproduct(zhat)."""
-    beta1 = as_elem(beta1)
     gauss = x_diagonal(-(ha + hb) ** 2
                        for ha in irrep(da).weights for hb in irrep(db).weights)
     return gauss * coproduct_zhat(da, db, beta1)
@@ -259,7 +254,6 @@ def four_braid_sides(da, db, ta, tb, affine=False):
 
 def braid_form_sides(d, t, affine=False):
     """Both sides of the equivalent braid-matrix form on V_d (x) V_d."""
-    from .rmat import braid_matrix
     b = braid_matrix(d)
     f = embed(t, left=d) if affine else embed(t, right=d)
     return f * b * f * b, b * f * b * f
@@ -270,34 +264,19 @@ def verify_four_braid(da, db, config):
     the dimensions agree) for the configured twist."""
     affine = config.variant == "affine"
     ta = twist_t(da, config)
-    tb = twist_t(db, config)
-    lhs, rhs = four_braid_sides(da, db, ta, tb, affine=affine)
     label = "affine" if affine else "cylinder"
-    checks = [matrix_check(
-        "%s braid equation on V%d (x) V%d (%s)" % (label, da, db, config.variant),
-        lhs, rhs)]
+    sides = [("%s braid equation on V%d (x) V%d (%s)" % (label, da, db, config.variant),
+              *four_braid_sides(da, db, ta, twist_t(db, config), affine=affine))]
     if da == db:
-        bl, br = braid_form_sides(da, ta, affine=affine)
-        checks.append(matrix_check(
-            "braid-matrix form on V%d (x) V%d (%s)" % (da, db, config.variant),
-            bl, br))
-    return Report(title="four-braid d=(%d,%d) %s" % (da, db, config.variant),
-                  checks=tuple(checks))
+        sides.append(("braid-matrix form on V%d (x) V%d (%s)" % (da, db, config.variant),
+                      *braid_form_sides(da, ta, affine=affine)))
+    return matrix_report("four-braid d=(%d,%d) %s" % (da, db, config.variant), sides)
 
 
 def verify_zdelta(da, db, beta1):
     """Check the coproduct condition on z and its unipotent reformulation."""
-    za = z_elem(da, beta1)
-    zb = z_elem(db, beta1)
-    z1 = embed(za, right=db)
-    z2 = embed(zb, left=da)
-    lhs = coproduct_z(da, db, beta1)
-    rhs = z2 * conjugated_r(da, db) * z1
-    checks = [matrix_check("coproduct condition for z on V%d (x) V%d" % (da, db),
-                           lhs, rhs)]
-
-    zh_a = zhat(da, beta1)
-    zh_b = zhat(db, beta1)
+    z1 = embed(z_elem(da, beta1), right=db)
+    z2 = embed(z_elem(db, beta1), left=da)
     nmax = min(da, db) - 1
     fpow_a, fpow_b = powers(irrep(da).F, nmax), powers(irrep(db).F, nmax)
     series = tensor_series(
@@ -305,14 +284,15 @@ def verify_zdelta(da, db, beta1):
          x_diagonal(-4 * n * h for h in irrep(da).weights) * fpow_a[n], fpow_b[n])
         for n in range(nmax + 1))
     rhs_hat = cartan_factor(da, db, 1) \
-        * embed(zh_b, left=da) \
+        * embed(zhat(db, beta1), left=da) \
         * cartan_factor(da, db, -1) \
         * series \
-        * embed(zh_a, right=db)
-    checks.append(matrix_check(
-        "unipotent coproduct equation on V%d (x) V%d" % (da, db),
-        coproduct_zhat(da, db, beta1), rhs_hat))
-    return Report(title="zdelta d=(%d,%d)" % (da, db), checks=tuple(checks))
+        * embed(zhat(da, beta1), right=db)
+    return matrix_report("zdelta d=(%d,%d)" % (da, db), [
+        ("coproduct condition for z on V%d (x) V%d" % (da, db),
+         coproduct_z(da, db, beta1), z2 * conjugated_r(da, db) * z1),
+        ("unipotent coproduct equation on V%d (x) V%d" % (da, db),
+         coproduct_zhat(da, db, beta1), rhs_hat)])
 
 
 def verify_bform(max_sum, beta1):
@@ -377,30 +357,25 @@ def verify_coproduct(max_dim, beta1):
     """Check the coproduct law for the twist, coproduct(t) = R^-1 t2 R t1,
     and the counit value read off from the one-dimensional representation."""
     cfg = TwistConfig(beta1=beta1)
-    checks = []
-    for da in range(1, max_dim + 1):
-        for db in range(1, max_dim + 1):
-            lhs = coproduct_t(da, db, cfg)
-            t1 = embed(twist_t(da, cfg), right=db)
-            t2 = embed(twist_t(db, cfg), left=da)
-            rhs = r_inverse(da, db) * t2 * r_matrix(da, db) * t1
-            checks.append(matrix_check(
-                "twist coproduct law on V%d (x) V%d" % (da, db), lhs, rhs))
-    checks.append(matrix_check("counit of the twist is 1",
-                               twist_t(1, cfg), QMatrix.identity(1)))
-    return Report(title="twist coproduct", checks=tuple(checks))
+    dims = range(1, max_dim + 1)
+    sides = [("twist coproduct law on V%d (x) V%d" % (da, db), coproduct_t(da, db, cfg),
+              r_inverse(da, db) * embed(twist_t(db, cfg), left=da)
+              * r_matrix(da, db) * embed(twist_t(da, cfg), right=db))
+             for da in dims for db in dims]
+    sides.append(("counit of the twist is 1", twist_t(1, cfg), QMatrix.identity(1)))
+    return matrix_report("twist coproduct", sides)
 
 
 def verify_inverse(max_dim, beta1):
     """Check zhat * zhat^-1 = zhat^-1 * zhat = identity for d <= max_dim."""
-    checks = []
+    sides = []
     for d in range(1, max_dim + 1):
         ident = QMatrix.identity(d)
         zh = zhat(d, beta1)
         zinv = zhat_inverse(d, beta1)
-        checks.append(matrix_check("zhat inverse (right) d=%d" % d, zh * zinv, ident))
-        checks.append(matrix_check("zhat inverse (left) d=%d" % d, zinv * zh, ident))
-    return Report(title="unipotent factor inversion", checks=tuple(checks))
+        sides.append(("zhat inverse (right) d=%d" % d, zh * zinv, ident))
+        sides.append(("zhat inverse (left) d=%d" % d, zinv * zh, ident))
+    return matrix_report("unipotent factor inversion", sides)
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +443,18 @@ def symmetric_basis_matrix(d, beta1, q0):
 
 def compare_reference_matrix(d, beta1_value, q0):
     """Max-abs entrywise residual against the known d-dimensional matrix;
-    NaN if any entry's residual is NaN."""
+    NaN if any entry's residual is NaN or an entry overflows a double."""
     if d not in REFERENCE_MATRICES:
         raise ValueError("closed-form matrices are known for d in {2, 3, 4}")
     if not (q0 > 0) or q0 == 1:
         raise ValueError("q0 must be a positive real other than 1")
     b1 = Fraction(beta1_value)
-    got = symmetric_basis_matrix(d, RingElem.from_rational(b1), q0)
-    want = REFERENCE_MATRICES[d](float(q0), float(b1))
+    try:
+        got = symmetric_basis_matrix(d, RingElem.from_rational(b1), q0)
+        want = REFERENCE_MATRICES[d](float(q0), float(b1))
+    except (OverflowError, ZeroDivisionError):
+        # an entry leaves the range of a double
+        return math.nan
     residuals = [abs(g - w) for rg, rw in zip(got, want) for g, w in zip(rg, rw)]
     if any(math.isnan(r) for r in residuals):
         return math.nan

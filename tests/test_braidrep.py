@@ -1,8 +1,10 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
+from qweyl import braidrep
 from qweyl.braidrep import (
     BraidWord,
     RepBundle,
@@ -155,6 +157,20 @@ class TestAffine:
     def test_rejects_config(self):
         with pytest.raises(TypeError):
             verify_affine_relation(2, TwistConfig(beta1=B1))
+
+    def test_tampered_twist_fails(self, monkeypatch):
+        # negative twin: one entry of the conjugated twist moved by 1
+        def tampered(d, config):
+            rows = [list(r) for r in twist_t(d, config).entries]
+            rows[1][1] = rows[1][1] + ONE
+            return QMatrix(rows)
+
+        monkeypatch.setattr(braidrep, "twist_t", tampered)
+        rep = verify_affine_relation(3, B1)
+        assert not rep.ok
+        [line] = rep.lines()
+        assert re.match(r"FAIL affine cylinder relation on V3 \(x\) V3  "
+                        r"\[entry \(\d+,\d+\): ", line)
 
 
 class TestNumericBundle:

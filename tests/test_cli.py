@@ -188,6 +188,25 @@ class TestUsageErrors:
         code, _ = run_cli()
         assert code == 2
 
+    AT_Q = [("twist", "--dim", "4", "--beta1", "2"),
+            ("twist", "--dim", "4", "--beta1", "2", "--basis", "symmetric"),
+            ("rmatrix", "--dims", "3,3"),
+            ("zbn", "--dim", "2", "--strands", "2", "--word", "0")]
+    BAD_AT_Q = [argv + q for argv in AT_Q
+                for q in (("--at-q", "inf"), ("--at-q=-inf",))]
+    BAD_AT_Q += [
+        ("twist", "--dim", "4", "--beta1", "2", "--at-q", "nan"),
+        # finite, but q^(1/8) to the powers in the twist overflows a double
+        ("twist", "--dim", "4", "--beta1", "2", "--basis", "symmetric",
+         "--at-q", "1e300")]
+
+    @pytest.mark.parametrize("argv", BAD_AT_Q, ids=" ".join)
+    def test_bad_at_q(self, argv, capsys):
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSizeLimits:
     REFUSED = [

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,7 @@ from qweyl.twist import (
     symmetric_basis_matrix,
     twist_t,
     verify_bform,
+    verify_coproduct,
     verify_four_braid,
     verify_inverse,
     verify_reference_matrices,
@@ -373,6 +376,12 @@ class TestReferenceMatrices:
         rep = verify_reference_matrices(beta1_values=(0,), q0_values=(1e80,))
         assert rep.lines()[-1] == \
             "FAIL closed-form matrix d=4 beta1=0 q0=1e+80  [residual nan]"
+        # q ** 2 overflows in the 3-dim closed form; at q0 = 1e-120 the
+        # exact twist's negative powers of x divide by a zero double
+        rep = verify_reference_matrices(q0_values=(1e200,))
+        assert "FAIL closed-form matrix d=3 beta1=0 q0=1e+200  [residual nan]" \
+            in rep.lines()
+        assert math.isnan(compare_reference_matrix(4, 2, 1e-120))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -381,6 +390,84 @@ class TestReferenceMatrices:
             compare_reference_matrix(2, 0, 1.0)
         with pytest.raises(ValueError):
             compare_reference_matrix(2, 0, -0.5)
+
+
+def bump(m, i, j):
+    """A copy of m with ONE added to entry (i, j)."""
+    rows = [list(r) for r in m.entries]
+    rows[i][j] = rows[i][j] + ONE
+    return QMatrix(rows)
+
+
+def failed_lines(report):
+    return [line for line in report.lines() if line.startswith("FAIL")]
+
+
+ENTRY = re.compile(r"  \[entry \(\d+,\d+\): ")
+
+
+class TestNegativeTwins:
+    """Each suite must fail once the builder it calls is tampered with."""
+
+    @pytest.fixture(autouse=True)
+    def drop_caches(self):
+        # a tampered builder may reach a cached one that calls it
+        yield
+        for cached in (beta_coeffs, zhat, zhat_inverse, z_elem, twist_t,
+                       coproduct_zhat, coproduct_z):
+            cached.cache_clear()
+
+    def test_zdelta_tampered_z(self, monkeypatch):
+        true_z = twist.z_elem
+        monkeypatch.setattr(twist, "z_elem",
+                            lambda d, b1: bump(true_z(d, b1), 1, 0) if d == 2
+                            else true_z(d, b1))
+        rep = verify_zdelta(2, 3, B1)
+        assert not rep.ok
+        [line] = failed_lines(rep)
+        assert line.startswith("FAIL coproduct condition for z on V2 (x) V3")
+        assert ENTRY.search(line)
+
+    def test_zdelta_tampered_zhat(self, monkeypatch):
+        true_zhat = twist.zhat
+        monkeypatch.setattr(twist, "zhat",
+                            lambda d, b1: bump(true_zhat(d, b1), 0, 1) if d == 2
+                            else true_zhat(d, b1))
+        rep = verify_zdelta(2, 3, B1)
+        assert not rep.ok
+        failed = failed_lines(rep)
+        assert any(line.startswith("FAIL unipotent coproduct equation on V2 (x) V3")
+                   and ENTRY.search(line) for line in failed)
+
+    def test_coproduct_tampered_twist(self, monkeypatch):
+        true_t = twist.twist_t
+        monkeypatch.setattr(twist, "twist_t",
+                            lambda d, cfg: bump(true_t(d, cfg), 1, 1) if d == 2
+                            else true_t(d, cfg))
+        rep = verify_coproduct(2, B1)
+        assert not rep.ok
+        failed = failed_lines(rep)
+        assert [line.split("  [")[0] for line in failed] == [
+            "FAIL twist coproduct law on V1 (x) V2",
+            "FAIL twist coproduct law on V2 (x) V1",
+            "FAIL twist coproduct law on V2 (x) V2"]
+        assert all(ENTRY.search(line) for line in failed)
+
+    def test_bform_tampered_table(self, monkeypatch):
+        true_table = twist.beta_coeffs
+
+        def tampered(n_max, b1):
+            table = true_table(n_max, b1)
+            primes = list(table.beta_primes)
+            primes[3] = primes[3] + ONE
+            return dataclasses.replace(table, beta_primes=tuple(primes))
+
+        monkeypatch.setattr(twist, "beta_coeffs", tampered)
+        rep = verify_bform(6, B1)
+        assert not rep.ok
+        [line] = failed_lines(rep)
+        assert line.startswith("FAIL doubled sum reproduces beta'_(a+b)")
+        assert re.search(r"\[\(a=\d+,b=\d+\)", line)
 
 
 class TestCacheBounds:
