@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 
 from .repn import QMatrix, embed
-from .reports import Check, Report, matrix_check, matrix_report
+from .reports import Report, labels_check, matrix_check, matrix_report
 from .rmat import braid_matrix
 from .twist import TwistConfig, braid_form_sides, twist_t
 
@@ -64,24 +64,13 @@ class BraidWord:
         return cls(n=n, letters=tuple(letters))
 
 
+@dataclass(frozen=True)
 class RepBundle:
-    """Generator matrices of the type-B braid group on V_d^(x n).
+    """Generator matrices of the type-B braid group on V_d^(x n)."""
 
-    Treated as immutable; generator inverses are computed on first use.
-    """
-
-    def __init__(self, d, n, generators):
-        self.d = d
-        self.n = n
-        self.generators = tuple(generators)
-        self._inverses = {}
-
-    def generator(self, i, exp=1):
-        if exp == 1:
-            return self.generators[i]
-        if i not in self._inverses:
-            self._inverses[i] = self.generators[i].inverse()
-        return self._inverses[i]
+    d: int
+    n: int
+    generators: tuple
 
     @property
     def dim(self):
@@ -103,7 +92,7 @@ def zbn_generators(d, n, config):
     b = braid_matrix(d)
     gens = [embed(twist_t(d, config), right=d ** (n - 1))]
     gens += [embed(b, left=d ** (i - 1), right=d ** (n - i - 1)) for i in range(1, n)]
-    return RepBundle(d=d, n=n, generators=gens)
+    return RepBundle(d=d, n=n, generators=tuple(gens))
 
 
 def zbn_generators_numeric(d, n, q0, config):
@@ -122,39 +111,20 @@ def zbn_generators_numeric(d, n, q0, config):
 
 def relation_report(bundle):
     """Exact check of the four defining relation families on a bundle."""
-    gens = bundle.generators
-    n = bundle.n
-    checks = []
-
-    bad = []
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            if gens[i] * gens[j] != gens[j] * gens[i]:
-                bad.append("(%d,%d)" % (i, j))
-    checks.append(Check(name="far commutation among braid generators",
-                        ok=not bad, detail=", ".join(bad)))
-
-    bad = []
-    for i in range(1, n - 1):
-        lhs = gens[i] * gens[i + 1] * gens[i]
-        rhs = gens[i + 1] * gens[i] * gens[i + 1]
-        if lhs != rhs:
-            bad.append("(%d,%d)" % (i, i + 1))
-    checks.append(Check(name="braid relation on adjacent generators",
-                        ok=not bad, detail=", ".join(bad)))
-
+    g, n = bundle.generators, bundle.n
+    checks = [
+        labels_check("far commutation among braid generators",
+                     (("(%d,%d)" % (i, j), g[i] * g[j], g[j] * g[i])
+                      for i in range(1, n) for j in range(i + 2, n))),
+        labels_check("braid relation on adjacent generators",
+                     (("(%d,%d)" % (i, i + 1), g[i] * g[i + 1] * g[i],
+                       g[i + 1] * g[i] * g[i + 1]) for i in range(1, n - 1)))]
     if n >= 2:
-        lhs = gens[0] * gens[1] * gens[0] * gens[1]
-        rhs = gens[1] * gens[0] * gens[1] * gens[0]
         checks.append(matrix_check("type-B relation with the cylinder generator",
-                                   lhs, rhs))
-
-    bad = []
-    for i in range(2, n):
-        if gens[0] * gens[i] != gens[i] * gens[0]:
-            bad.append("i=%d" % i)
-    checks.append(Check(name="cylinder generator commutes with distant braids",
-                        ok=not bad, detail=", ".join(bad)))
+                                   g[0] * g[1] * g[0] * g[1], g[1] * g[0] * g[1] * g[0]))
+    checks.append(labels_check("cylinder generator commutes with distant braids",
+                               (("i=%d" % i, g[0] * g[i], g[i] * g[0])
+                                for i in range(2, n))))
     return Report(title="type-B relations d=%d n=%d" % (bundle.d, bundle.n),
                   checks=tuple(checks))
 
@@ -171,9 +141,13 @@ def eval_braid_word(word, bundle):
     if word.n != bundle.n:
         raise ValueError("word on %d strands does not fit a bundle on %d"
                          % (word.n, bundle.n))
+    gens = bundle.generators
+    # each distinct inverted generator is inverted once
+    inverses = {idx: gens[idx].inverse()
+                for idx in {idx for idx, exp in word.letters if exp == -1}}
     result = QMatrix.identity(bundle.dim)
     for idx, exp in word.letters:
-        result = result * bundle.generator(idx, exp)
+        result = result * (gens[idx] if exp == 1 else inverses[idx])
     return result
 
 

@@ -8,6 +8,8 @@ verification failed, 2 usage or expression-parse error.
 from __future__ import annotations
 
 import argparse
+import cmath
+import io
 import json
 import math
 import sys
@@ -56,48 +58,23 @@ def _check_coeff_index(n, option):
 # output helpers
 
 
-def _q_power_latex(exp8):
+def _latex_monomial(c, exp8):
+    """The body of one term c q^(exp8/8), c > 0, exponent in lowest terms."""
     r = Fraction(exp8, 8)
-    if r == 0:
-        return ""
-    if r == 1:
-        return "q"
-    return "q^{%s}" % r
-
-
-def _coeff_latex(c, has_power):
+    power = "" if r == 0 else "q" if r == 1 else "q^{%s}" % r
+    if power and c == 1:
+        return power
     if c.denominator == 1:
-        body = str(abs(c.numerator))
-    else:
-        body = r"\frac{%d}{%d}" % (abs(c.numerator), c.denominator)
-    if has_power and abs(c) == 1:
-        body = ""
-    return body
-
-
-def _poly_latex(poly):
-    if not poly.terms:
-        return "0"
-    coeffs = poly.coefficients()
-    parts = []
-    for e in sorted(coeffs, reverse=True):
-        c = coeffs[e]
-        power = _q_power_latex(e)
-        body = _coeff_latex(c, bool(power)) + power
-        if not body:
-            body = "1"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
+        return str(c.numerator) + power
+    return r"\frac{%d}{%d}" % (c.numerator, c.denominator) + power
 
 
 def ring_elem_latex(e):
     """LaTeX form using powers of q with exponents reduced to lowest terms."""
+    num = e.num.format(_latex_monomial)
     if e.den.is_one:
-        return _poly_latex(e.num)
-    return r"\frac{%s}{%s}" % (_poly_latex(e.num), _poly_latex(e.den))
+        return num
+    return r"\frac{%s}{%s}" % (num, e.den.format(_latex_monomial))
 
 
 def matrix_latex(m):
@@ -115,7 +92,13 @@ def _fmt_complex(v):
 
 def _print_numeric(mat, fmt, out):
     """Print a numeric matrix given as rows of complex numbers (a list of
-    lists or a numpy array)."""
+    lists or a numpy array); an entry that is not finite raises
+    OverflowError."""
+    for i, row in enumerate(mat):
+        for j, v in enumerate(row):
+            if not cmath.isfinite(v):
+                raise OverflowError("entry (%d,%d) is %s"
+                                    % (i + 1, j + 1, _fmt_complex(v)))
     if fmt == "json":
         payload = {"rows": len(mat), "cols": len(mat[0]),
                    "entries": [[[v.real, v.imag] for v in row] for row in mat]}
@@ -280,7 +263,7 @@ def _cmd_zbn(args, out):
         import numpy as np
         gens = zbn_generators_numeric(args.dim, args.strands, args.at_q, config)
         inverses = {idx: np.linalg.inv(gens[idx])
-                    for idx, exp in word.letters if exp == -1}
+                    for idx in {idx for idx, exp in word.letters if exp == -1}}
         result = np.eye(args.dim ** args.strands, dtype=complex)
         for idx, exp in word.letters:
             result = result @ (gens[idx] if exp == 1 else inverses[idx])
@@ -372,7 +355,11 @@ def run(argv=None, out=None):
     try:
         if getattr(args, "at_q", None) is not None and not math.isfinite(args.at_q):
             raise ValueError("--at-q must be a finite number, got %s" % args.at_q)
-        return _COMMANDS[args.command](args, out)
+        # buffered, so that a command that fails prints nothing
+        buf = io.StringIO()
+        code = _COMMANDS[args.command](args, buf)
+        out.write(buf.getvalue())
+        return code
     except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

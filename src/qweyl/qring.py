@@ -262,26 +262,28 @@ class LaurentPoly:
     def __call__(self, xval):
         return sum(complex(c) * xval ** e for e, c in self.coefficients().items())
 
-    def __str__(self):
+    def format(self, monomial):
+        """The terms by falling exponent, joined by their signs;
+        monomial(|c|, e) writes the body of the term c x^e."""
         if not self.terms:
             return "0"
-        coeffs = self.coefficients()
-        parts = []
-        for e in sorted(coeffs, reverse=True):
-            c = coeffs[e]
-            if e == 0:
-                body = str(abs(c))
-            else:
-                xs = "x" if e == 1 else "x^%d" % e
-                body = xs if abs(c) == 1 else "%s*%s" % (abs(c), xs)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append((" + " if c > 0 else " - ") + body)
-        return "".join(parts)
+        text = "".join((" - " if c < 0 else " + ") + monomial(abs(c), e)
+                       for e, c in sorted(self.coefficients().items(), reverse=True))
+        # the first term carries its sign without spaces
+        return text[3:] if text[1] == "+" else "-" + text[3:]
+
+    def __str__(self):
+        return self.format(_plain_monomial)
 
     def __repr__(self):
         return "LaurentPoly(%s)" % self
+
+
+def _plain_monomial(c, e):
+    if e == 0:
+        return str(c)
+    xs = "x" if e == 1 else "x^%d" % e
+    return xs if c == 1 else "%s*%s" % (c, xs)
 
 
 _P_ZERO = LaurentPoly._raw({})

@@ -46,6 +46,18 @@ def matrix_check(name, lhs, rhs):
                  detail="entry (%d,%d): %s != %s" % (i + 1, j + 1, a, b))
 
 
+def labels_check(name, cases, shown=None):
+    """One check over (label, lhs, rhs) cases of exact equality; a failure
+    names the labels of the first `shown` failing cases (all when None)."""
+    failed = []
+    for label, lhs, rhs in cases:
+        if lhs != rhs:
+            failed.append(label)
+        # drop this case's sides before the next case is built
+        del lhs, rhs
+    return Check(name=name, ok=not failed, detail=", ".join(failed[:shown]))
+
+
 def matrix_report(title, sides):
     """A report of exact matrix equalities, one check per (name, lhs, rhs)."""
     return Report(title=title, checks=tuple(matrix_check(*side) for side in sides))

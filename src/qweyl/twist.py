@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .qring import ONE, ZERO, RingElem, as_elem, q_binomial, q_factorial, q_int, q_power
 from .repn import QMatrix, embed, irrep, kron, powers, tensor_series, x_diagonal
-from .reports import Check, Report, matrix_report
+from .reports import Check, Report, labels_check, matrix_report
 from .rmat import (
     braid_matrix,
     cartan_factor,
@@ -237,19 +237,14 @@ def four_braid_sides(da, db, ta, tb, affine=False):
     """Both sides of the cylinder braid equation for given twist matrices.
 
     Ordinary form:  R21 t2 R t1  vs  t1 R21 t2 R.
-    Affine form:    R t2 R21 t1  vs  t1 R t2 R21.
+    Affine form:    R t2 R21 t1  vs  t1 R t2 R21, i.e. R and R21 exchanged.
     """
     t1 = embed(ta, right=db)
     t2 = embed(tb, left=da)
-    r = r_matrix(da, db)
-    rt = r21(da, db)
+    r, rt = r_matrix(da, db), r21(da, db)
     if affine:
-        lhs = r * t2 * rt * t1
-        rhs = t1 * r * t2 * rt
-    else:
-        lhs = rt * t2 * r * t1
-        rhs = t1 * rt * t2 * r
-    return lhs, rhs
+        r, rt = rt, r
+    return rt * t2 * r * t1, t1 * rt * t2 * r
 
 
 def braid_form_sides(d, t, affine=False):
@@ -301,56 +296,42 @@ def verify_bform(max_sum, beta1):
     equation in the unprimed coefficients."""
     beta1 = as_elem(beta1)
     table = beta_coeffs(max_sum, beta1)
-    checks = []
+    primes, betas = table.beta_primes, table.betas
+    pairs = [(a, b) for a in range(max_sum + 1) for b in range(max_sum + 1 - a)]
 
-    bad = []
-    for a in range(max_sum + 1):
-        for b in range(max_sum + 1 - a):
-            acc = ZERO
-            for n in range(min(a, b) + 1):
-                acc = acc + (bracket_coeff(a, b, n)
-                             * table.beta_primes[a - n] * table.beta_primes[b - n])
-            if acc != table.beta_primes[a + b]:
-                bad.append("(a=%d,b=%d)" % (a, b))
-    checks.append(Check(
-        name="doubled sum reproduces beta'_(a+b) for a+b <= %d" % max_sum,
-        ok=not bad, detail=", ".join(bad[:3])))
+    def doubled_sum():
+        for a, b in pairs:
+            yield ("(a=%d,b=%d)" % (a, b), primes[a + b],
+                   sum((bracket_coeff(a, b, n) * primes[a - n] * primes[b - n]
+                        for n in range(min(a, b) + 1)), ZERO))
 
-    bad = []
-    qq = q_power(1)
-    for a in range(7):
-        for b in range(7):
-            for n in range(max(a, b) + 2):
-                qn = q_power(Fraction(-n, 1))
-                lhs_a = bracket_coeff(a + 1, b, n)
-                rhs_a = qn * (bracket_coeff(a, b, n)
-                              + (q_power(n - b) - qq) * bracket_coeff(a, b, n - 1))
-                if lhs_a != rhs_a:
-                    bad.append("a-shift (a=%d,b=%d,n=%d)" % (a, b, n))
-                lhs_b = bracket_coeff(a, b + 1, n)
-                rhs_b = qn * (bracket_coeff(a, b, n)
-                              + (q_power(n - a) - qq) * bracket_coeff(a, b, n - 1))
-                if lhs_b != rhs_b:
-                    bad.append("b-shift (a=%d,b=%d,n=%d)" % (a, b, n))
-    checks.append(Check(name="index-shift recurrences for a, b <= 6",
-                        ok=not bad, detail=", ".join(bad[:3])))
+    def index_shifts():
+        qq = q_power(1)
+        for a in range(7):
+            for b in range(7):
+                for n in range(max(a, b) + 2):
+                    qn = q_power(-n)
+                    here, below = bracket_coeff(a, b, n), bracket_coeff(a, b, n - 1)
+                    label = "(a=%d,b=%d,n=%d)" % (a, b, n)
+                    yield ("a-shift " + label, bracket_coeff(a + 1, b, n),
+                           qn * (here + (q_power(n - b) - qq) * below))
+                    yield ("b-shift " + label, bracket_coeff(a, b + 1, n),
+                           qn * (here + (q_power(n - a) - qq) * below))
 
-    bad = []
-    for a in range(max_sum + 1):
-        for b in range(max_sum + 1 - a):
-            lhs = table.betas[a + b] * q_factorial(a + b) \
-                / (q_factorial(a) * q_factorial(b))
-            acc = ZERO
-            for n in range(min(a, b) + 1):
-                acc = acc + (series_coeff_B(n) * table.betas[a - n] * table.betas[b - n]
-                             * q_power(Fraction(n * n, 2) - Fraction(n * (a + b - 1), 2)))
-            if lhs != acc:
-                bad.append("(a=%d,b=%d)" % (a, b))
-    checks.append(Check(
-        name="coefficient equation in the unprimed coefficients, a+b <= %d" % max_sum,
-        ok=not bad, detail=", ".join(bad[:3])))
-    return Report(title="coefficient identities (beta1 = %s)" % beta1,
-                  checks=tuple(checks))
+    def unprimed():
+        for a, b in pairs:
+            yield ("(a=%d,b=%d)" % (a, b),
+                   betas[a + b] * q_factorial(a + b) / (q_factorial(a) * q_factorial(b)),
+                   sum((series_coeff_B(n) * betas[a - n] * betas[b - n]
+                        * q_power(Fraction(n * n, 2) - Fraction(n * (a + b - 1), 2))
+                        for n in range(min(a, b) + 1)), ZERO))
+
+    return Report(title="coefficient identities (beta1 = %s)" % beta1, checks=(
+        labels_check("doubled sum reproduces beta'_(a+b) for a+b <= %d" % max_sum,
+                     doubled_sum(), shown=3),
+        labels_check("index-shift recurrences for a, b <= 6", index_shifts(), shown=3),
+        labels_check("coefficient equation in the unprimed coefficients, a+b <= %d"
+                     % max_sum, unprimed(), shown=3)))
 
 
 def verify_coproduct(max_dim, beta1):

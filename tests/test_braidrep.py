@@ -91,6 +91,26 @@ class TestRelations:
         typeb = next(c for c in rep.checks if not c.ok)
         assert "entry" in typeb.detail
 
+    # negative twins of the labelled families: tau_i := tau_i tau_j breaks
+    # the relations that tie tau_i to a generator that tau_j does not commute with
+    TAMPERED = [
+        (3, 0, 1, ["FAIL type-B relation with the cylinder generator  "
+                   "[entry (1,3): x^-6 - x^-22 != x^-6]",
+                   "FAIL cylinder generator commutes with distant braids  [i=2]"]),
+        (5, 0, 3, ["FAIL cylinder generator commutes with distant braids  "
+                   "[i=2, i=4]"]),
+        (5, 3, 0, ["FAIL far commutation among braid generators  [(1,3)]",
+                   "FAIL braid relation on adjacent generators  [(2,3), (3,4)]"]),
+    ]
+
+    @pytest.mark.parametrize("n,i,j,expected", TAMPERED,
+                             ids=["n%d-tau%d-tau%d" % t[:3] for t in TAMPERED])
+    def test_tampered_generator_fail_lines(self, n, i, j, expected):
+        gens = list(zbn_generators(2, n, CFG1).generators)
+        gens[i] = gens[i] * gens[j]
+        rep = relation_report(RepBundle(d=2, n=n, generators=tuple(gens)))
+        assert [line for line in rep.lines() if line.startswith("FAIL")] == expected
+
 
 class TestEquationFormsAgree:
     def test_verdicts_match_on_good_and_bad_input(self):

@@ -198,7 +198,12 @@ class TestUsageErrors:
         ("twist", "--dim", "4", "--beta1", "2", "--at-q", "nan"),
         # finite, but q^(1/8) to the powers in the twist overflows a double
         ("twist", "--dim", "4", "--beta1", "2", "--basis", "symmetric",
-         "--at-q", "1e300")]
+         "--at-q", "1e300"),
+        # finite q, but entries of the evaluated matrix are NaN
+        ("twist", "--dim", "4", "--beta1", "2", "--at-q", "1e300"),
+        ("rmatrix", "--dims", "3,3", "--at-q", "1e300"),
+        # H evaluates, X overflows: nothing of H may reach stdout
+        ("irrep", "--dim", "200", "--at-q", "1e300")]
 
     @pytest.mark.parametrize("argv", BAD_AT_Q, ids=" ".join)
     def test_bad_at_q(self, argv, capsys):

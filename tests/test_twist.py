@@ -469,6 +469,33 @@ class TestNegativeTwins:
         assert line.startswith("FAIL doubled sum reproduces beta'_(a+b)")
         assert re.search(r"\[\(a=\d+,b=\d+\)", line)
 
+    def test_bform_tampered_bracket_coeff(self, monkeypatch):
+        true_bracket = twist.bracket_coeff
+        monkeypatch.setattr(twist, "bracket_coeff",
+                            lambda a, b, n: true_bracket(a, b, n)
+                            + (ONE if (a, b, n) == (2, 3, 1) else ZERO))
+        rep = verify_bform(6, B1)
+        # six index-shift cases read (2, 3, 1); the line names the first three
+        assert failed_lines(rep) == [
+            "FAIL doubled sum reproduces beta'_(a+b) for a+b <= 6  [(a=2,b=3)]",
+            "FAIL index-shift recurrences for a, b <= 6  [a-shift (a=1,b=3,n=1), "
+            "b-shift (a=2,b=2,n=1), a-shift (a=2,b=3,n=1)]"]
+
+    def test_bform_tampered_betas(self, monkeypatch):
+        true_table = twist.beta_coeffs
+
+        def tampered(n_max, b1):
+            table = true_table(n_max, b1)
+            betas = list(table.betas)
+            betas[4] = betas[4] + ONE
+            return dataclasses.replace(table, betas=tuple(betas))
+
+        monkeypatch.setattr(twist, "beta_coeffs", tampered)
+        rep = verify_bform(6, B1)
+        assert failed_lines(rep) == [
+            "FAIL coefficient equation in the unprimed coefficients, a+b <= 6  "
+            "[(a=1,b=3), (a=1,b=4), (a=1,b=5)]"]
+
 
 class TestCacheBounds:
     CACHES = ("beta_coeffs", "zhat", "zhat_inverse", "z_elem", "twist_t",
