@@ -228,18 +228,6 @@ class LaurentPoly:
             return self
         return LaurentPoly._raw({e + k: c for e, c in self.terms.items()}, self.denom)
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a LaurentPoly; use RingElem")
-        result = _P_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other):
@@ -384,38 +372,30 @@ class RingElem:
     def is_zero(self):
         return not self.num.terms
 
-    @property
-    def is_poly(self):
-        return self.den.is_one
-
     def __bool__(self):
         return bool(self.num.terms)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        # self + sign * other
         other = _as_elem(other)
         if other is NotImplemented:
             return NotImplemented
         if self.den.is_one and other.den.is_one:
-            return RingElem._raw(self.num + other.num, _P_ONE)
+            return RingElem._raw(self.num._plus(other.num, sign), _P_ONE)
         if self.den == other.den:
-            return _make(self.num + other.num, self.den)
-        return _make(self.num * other.den + other.num * self.den,
+            return _make(self.num._plus(other.num, sign), self.den)
+        return _make((self.num * other.den)._plus(other.num * self.den, sign),
                      self.den * other.den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_elem(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den.is_one and other.den.is_one:
-            return RingElem._raw(self.num - other.num, _P_ONE)
-        if self.den == other.den:
-            return _make(self.num - other.num, self.den)
-        return _make(self.num * other.den - other.num * self.den,
-                     self.den * other.den)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -509,12 +489,6 @@ class RingElem:
             coeffs = poly.coefficients()
             out[key] = [[e, str(coeffs[e])] for e in sorted(coeffs)]
         return out
-
-    @classmethod
-    def from_json(cls, obj):
-        num = LaurentPoly({int(e): Fraction(c) for e, c in obj["num"]})
-        den = LaurentPoly({int(e): Fraction(c) for e, c in obj["den"]})
-        return cls(num, den)
 
     def __str__(self):
         if self.den.is_one:

@@ -69,10 +69,7 @@ class QMatrix:
             for ra, rb in zip(self.entries, other.entries)))
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return QMatrix._raw(self.rows, self.cols, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self):
         return QMatrix._raw(self.rows, self.cols, tuple(
@@ -188,14 +185,6 @@ class QMatrix:
         return {"rows": self.rows, "cols": self.cols,
                 "entries": [[a.to_json() for a in row] for row in self.entries]}
 
-    @classmethod
-    def from_json(cls, obj):
-        entries = [[RingElem.from_json(a) for a in row] for row in obj["entries"]]
-        m = cls(entries)
-        if m.rows != obj["rows"] or m.cols != obj["cols"]:
-            raise ValueError("inconsistent matrix dimensions in JSON")
-        return m
-
     def __str__(self):
         return "\n".join("[" + ", ".join(str(a) for a in row) + "]"
                          for row in self.entries)
@@ -208,7 +197,6 @@ class QMatrix:
 class IrrepSpec:
     """Generator matrices of the d-dimensional irreducible representation."""
 
-    dim: int
     weights: tuple
     H: QMatrix
     X: QMatrix
@@ -234,7 +222,7 @@ def irrep(d):
     x_rows = [[q_int(j) * q_int(d - j) if (i == j - 1) else ZERO
                for j in range(d)] for i in range(d)]
     X = QMatrix(x_rows)
-    return IrrepSpec(dim=d, weights=weights, H=H, X=X, Y=Y,
+    return IrrepSpec(weights=weights, H=H, X=X, Y=Y,
                      E=K * X, F=Kinv * Y, K=K, Kinv=Kinv)
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qring import ONE, q_factorial, q_power
-from .repn import embed, flip, irrep, kron, powers, tensor_series, x_diagonal
+from .repn import flip, irrep, powers, tensor_series, x_diagonal
 
 
 @lru_cache(maxsize=None)
@@ -92,23 +92,3 @@ def drinfeld_u(d):
     return tensor_series((series_coeff(n), sfpow[n] * gauss * epow[n])
                          for n in range(d))
 
-
-_COPRODUCTS = {
-    "X": lambda a, b: kron(a.X, b.K) + kron(a.Kinv, b.X),
-    "Y": lambda a, b: kron(a.Y, b.K) + kron(a.Kinv, b.Y),
-    "H": lambda a, b: embed(a.H, right=b.dim) + embed(b.H, left=a.dim),
-    "K": lambda a, b: kron(a.K, b.K),
-    "Kinv": lambda a, b: kron(a.Kinv, b.Kinv),
-}
-
-
-def coproduct_gen(da, db, name):
-    """(pi_a (x) pi_b) of the coproduct of a generator."""
-    return _COPRODUCTS[name](irrep(da), irrep(db))
-
-
-def coproduct_gen_op(da, db, name):
-    """The flipped coproduct of a generator."""
-    p_ab = flip(da, db)
-    p_ba = flip(db, da)
-    return p_ba * coproduct_gen(db, da, name) * p_ab

@@ -74,7 +74,6 @@ class CoeffTable:
     """Twist coefficients beta_m, beta'_m = beta_m [m]! and inverse
     coefficients alpha_m, indexed 0..N."""
 
-    beta1: RingElem
     betas: tuple
     beta_primes: tuple
     alphas: tuple
@@ -99,8 +98,8 @@ def beta_coeffs(n_max, beta1):
         for m in range(1, a + 1):
             acc = acc + betas[m] * alphas[a - m] * q_power(Fraction(-m * (a - m), 2))
         alphas.append(-acc)
-    return CoeffTable(beta1=beta1, betas=tuple(betas),
-                      beta_primes=tuple(beta_primes), alphas=tuple(alphas))
+    return CoeffTable(betas=tuple(betas), beta_primes=tuple(beta_primes),
+                      alphas=tuple(alphas))
 
 
 @lru_cache(maxsize=None)

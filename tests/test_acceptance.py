@@ -13,8 +13,6 @@ from qweyl.braidrep import verify_affine_relation, verify_zbn_relations
 from qweyl.qring import ONE, ZERO, LaurentPoly, RingElem, q_power
 from qweyl.repn import QMatrix, flip, irrep, kron
 from qweyl.rmat import (
-    coproduct_gen,
-    coproduct_gen_op,
     drinfeld_u,
     r21,
     r_matrix,
@@ -32,6 +30,8 @@ from qweyl.twist import (
     zhat,
     _borel_series,
 )
+
+from coproduct_oracle import coproduct_gen, coproduct_gen_op
 
 B0 = RingElem.from_rational(0)
 B1 = ONE

@@ -60,11 +60,6 @@ class TestQMatrix:
         with pytest.raises(ValueError):
             QMatrix.zeros(2, 3) * QMatrix.zeros(2, 3)
 
-    def test_json_round_trip(self):
-        rng = random.Random(6)
-        m = rand_matrix(rng, 3)
-        assert QMatrix.from_json(m.to_json()) == m
-
 
 class TestIrrep:
     def test_rejects_nonpositive(self):
@@ -249,12 +244,3 @@ class TestBuilders:
         assert embed(m, right=2) == kron(m, i2)
         assert embed(m, left=2, right=3) == kron(kron(i2, m), i3)
 
-
-class TestCoproductConsistency:
-    def test_delta_x_matches_kron_build(self):
-        for da in range(1, 5):
-            for db in range(1, 5):
-                ra, rb = irrep(da), irrep(db)
-                direct = kron(ra.X, rb.K) + kron(ra.Kinv, rb.X)
-                from qweyl.rmat import coproduct_gen
-                assert coproduct_gen(da, db, "X") == direct

@@ -1,5 +1,5 @@
 """Hypothesis properties of Q(x): ring axioms, exact quotients, the hash/eq
-contract with int and Fraction, and JSON round-trips.
+contract with int and Fraction, and faithful JSON.
 
 Elements mix integer, half-integer and 1/3 coefficients on exponent strides
 1, 4 and 8, the shapes the integer storage and the stride-compressed gcd
@@ -80,6 +80,8 @@ def test_equal_forms_hash_equal(a, s):
 
 
 @settings
-@given(elems())
-def test_json_round_trip(a):
-    assert RingElem.from_json(a.to_json()) == a
+@given(elems(), elems(), nonzero, st.booleans())
+def test_json_is_faithful(a, c, s, same):
+    # b is a rescaled form of a, or an independent element
+    b = RingElem(a.num * s.num, a.den * s.num) if same else c
+    assert (a.to_json() == b.to_json()) == (a == b)

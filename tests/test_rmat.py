@@ -8,8 +8,6 @@ from qweyl.rmat import (
     braid_matrix,
     cartan_factor,
     conjugated_r,
-    coproduct_gen,
-    coproduct_gen_op,
     drinfeld_u,
     r21,
     r_inverse,
@@ -17,6 +15,8 @@ from qweyl.rmat import (
     series_coeff,
 )
 from qweyl.twist import weyl_w
+
+from coproduct_oracle import coproduct_gen, coproduct_gen_op
 
 
 def x_pow(k):
