@@ -248,7 +248,9 @@ class LaurentPoly:
     # -- conversion -----------------------------------------------------------
 
     def __call__(self, xval):
-        return sum(complex(c) * xval ** e for e, c in self.coefficients().items())
+        # by ascending exponent, so equal polynomials give equal bits
+        return sum(complex(c) * xval ** e
+                   for e, c in sorted(self.coefficients().items()))
 
     def format(self, monomial):
         """The terms by falling exponent, joined by their signs;

@@ -47,7 +47,7 @@ GOLDEN = [
      "c13393d9dbfabd6bbbf87079d795420bafea9eeda2b3c8d190e08f1a7684ddf4"),
     (("twist", "--dim", "4", "--beta1", "7/2", "--basis", "symmetric",
       "--at-q", "0.7", "--format", "json"),
-     "17a0b835bb7ce7dc1a9cbb29d448b9defd1a6e9bc68a9c91a9daae2f94eb62ad"),
+     "92134d352851da06660ebb88d675e329049c2223b084f3447d7091b265f4a36b"),
 ]
 
 

@@ -251,9 +251,10 @@ class TestEvaluate:
 
     def test_half_integer_twist_entries_evaluate_term_by_term(self):
         # evaluate keeps the double arithmetic of a Fraction-coefficient sum,
-        # term by term in storage order, so numeric output cannot drift
+        # term by term by ascending exponent, so numeric output cannot drift
         def reference(p, x0):
-            return sum(complex(Fraction(c, p.denom)) * x0 ** e for e, c in p.terms.items())
+            return sum(complex(Fraction(c, p.denom)) * x0 ** e
+                       for e, c in sorted(p.terms.items()))
 
         config = TwistConfig(beta1=Fraction(7, 2))
         for d in range(1, 6):
@@ -261,6 +262,18 @@ class TestEvaluate:
                 for q0 in (0.7, 1.3):
                     x0 = complex(q0) ** 0.125
                     assert entry.evaluate(q0) == reference(entry.num, x0) / reference(entry.den, x0)
+
+    def test_evaluation_ignores_storage_order(self):
+        # equal polynomials whose terms were stored in opposite orders
+        terms = {-8: Fraction(-5, 2), -6: Fraction(-1, 2), -4: Fraction(3, 4),
+                 -2: Fraction(6, 7), 0: Fraction(-3, 2), 2: Fraction(6),
+                 4: Fraction(3, 7), 6: Fraction(-9, 8), 8: Fraction(-1, 4)}
+        p = LaurentPoly(terms)
+        r = LaurentPoly(dict(reversed(terms.items())))
+        assert p == r and list(p.terms) != list(r.terms)
+        x0 = 0.7 ** 0.125
+        assert p(x0) == r(x0)
+        assert RingElem(p).evaluate(0.7) == RingElem(r).evaluate(0.7)
 
     def test_denominator_zero_reported(self):
         e = ONE / (X - ONE)
