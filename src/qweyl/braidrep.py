@@ -18,6 +18,10 @@ from .twist import TwistConfig, braid_form_sides, twist_t
 
 DEFAULT_MAX_EXACT_DIM = 256
 
+MAX_NUMERIC_DIM = 1024
+"""Row and strand ceiling for numeric bundles, whose generators are dense
+complex matrices: 16 MiB each at 1024 rows."""
+
 
 def max_exact_dim():
     """Row-count ceiling for exact bundles; override with QW_MAX_EXACT_DIM."""
@@ -96,8 +100,12 @@ def zbn_generators(d, n, config):
 
 
 def zbn_generators_numeric(d, n, q0, config):
-    """Generator matrices evaluated at q = q0, as numpy arrays.  Not subject
-    to the exact-mode size ceiling."""
+    """Generator matrices evaluated at q = q0, as numpy arrays.  Refuses
+    bundles above MAX_NUMERIC_DIM rows, not the exact-mode ceiling."""
+    # the strand count is tested first, so that d ** n stays small
+    if not 1 <= n <= MAX_NUMERIC_DIM or d ** n > MAX_NUMERIC_DIM:
+        raise ValueError("numeric bundle V%d^(x%d) needs 1 to %d strands and "
+                         "at most %d rows" % (d, n, MAX_NUMERIC_DIM, MAX_NUMERIC_DIM))
     import numpy as np
 
     def eye(k):

@@ -257,8 +257,8 @@ def _cmd_zbn(args, out):
         return 0 if report.ok else 1
     word = BraidWord.parse(args.word, args.strands)
     if args.at_q is not None:
-        # the numeric bundle is not capped, but it evaluates the exact
-        # twist and braid matrix, of d and d^2 rows
+        # the numeric bundle has its own row ceiling, but it evaluates the
+        # exact twist and braid matrix, of d and d^2 rows
         check_exact_rows(args.dim ** 2, "--dim %d" % args.dim)
         import numpy as np
         gens = zbn_generators_numeric(args.dim, args.strands, args.at_q, config)
@@ -353,8 +353,11 @@ def run(argv=None, out=None):
     except SystemExit as exc:
         return 0 if not exc.code else 2
     try:
-        if getattr(args, "at_q", None) is not None and not math.isfinite(args.at_q):
-            raise ValueError("--at-q must be a finite number, got %s" % args.at_q)
+        if getattr(args, "at_q", None) is not None:
+            if not math.isfinite(args.at_q):
+                raise ValueError("--at-q must be a finite number, got %s" % args.at_q)
+            if args.format == "latex":
+                raise ValueError("--format latex cannot be used with --at-q")
         # buffered, so that a command that fails prints nothing
         buf = io.StringIO()
         code = _COMMANDS[args.command](args, buf)

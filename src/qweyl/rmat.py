@@ -91,4 +91,3 @@ def drinfeld_u(d):
     sfpow, epow = powers(sf, d - 1), powers(r.E, d - 1)
     return tensor_series((series_coeff(n), sfpow[n] * gauss * epow[n])
                          for n in range(d))
-

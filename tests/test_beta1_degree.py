@@ -1,0 +1,70 @@
+"""Degrees in beta1: beta_m is a polynomial of degree m in beta1, and the
+twist matrix on V_d one of degree d - 1.
+
+The degrees are read from outside the code path, as forward differences
+over the integer points beta1 = 0, 1, 2, ...: a polynomial of degree k has
+a nonzero k-th difference and a zero (k+1)-th one.  A sympy oracle
+recomputes beta_m from its defining recursion with beta1 as a symbol.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from qweyl.qring import ONE, X
+from qweyl.twist import TwistConfig, beta_coeffs, twist_t
+
+M_MAX = 8
+
+
+def differences(values, order):
+    """The order-th forward difference at the first point."""
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values[0]
+
+
+@pytest.mark.parametrize("m", range(1, M_MAX + 1))
+def test_beta_m_has_degree_m(m):
+    values = [beta_coeffs(M_MAX, b).betas[m] for b in range(m + 2)]
+    assert not differences(values[:m + 1], m).is_zero
+    assert differences(values, m + 1).is_zero
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_twist_has_degree_d_minus_1(d):
+    values = [twist_t(d, TwistConfig(beta1=b)) for b in range(d + 1)]
+    assert not differences(values[:d], d - 1).is_zero
+    assert differences(values, d).is_zero
+
+
+def test_beta_m_matches_symbolic_recursion():
+    sympy = pytest.importorskip("sympy")
+    x, b = sympy.symbols("x b")
+
+    def q_int(n):
+        return (x ** (4 * n) - x ** (-4 * n)) / (x ** 4 - x ** -4)
+
+    # beta_{a+1} = (beta_a beta_1 + beta_{a-1} (q^-1 - 1) q^((1-a)/2)) / [a+1]
+    betas = [sympy.Integer(1), b]
+    for a in range(1, M_MAX):
+        nxt = (betas[a] * b + betas[a - 1] * (x ** -8 - 1) * x ** (4 * (1 - a))) \
+            / q_int(a + 1)
+        betas.append(sympy.cancel(nxt))
+
+    def to_sympy(e):
+        def poly(p):
+            return sum(sympy.Rational(c.numerator, c.denominator) * x ** k
+                       for k, c in p.coefficients().items())
+        return poly(e.num) / poly(e.den)
+
+    for m in range(1, M_MAX + 1):
+        num, den = sympy.fraction(betas[m])
+        assert b not in den.free_symbols
+        assert sympy.degree(num, b) == m
+    for beta1, value in ((0, 0), (1, 1), (Fraction(7, 2), sympy.Rational(7, 2)),
+                         (X ** 4 + ONE, x ** 4 + 1)):
+        table = beta_coeffs(M_MAX, beta1)
+        for m in range(M_MAX + 1):
+            oracle = betas[m].subs(b, value)
+            assert sympy.cancel(oracle - to_sympy(table.betas[m])) == 0, (beta1, m)

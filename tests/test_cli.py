@@ -194,7 +194,9 @@ class TestUsageErrors:
             ("rmatrix", "--dims", "3,3"),
             ("zbn", "--dim", "2", "--strands", "2", "--word", "0")]
     BAD_AT_Q = [argv + q for argv in AT_Q
-                for q in (("--at-q", "inf"), ("--at-q=-inf",))]
+                for q in (("--at-q", "inf"), ("--at-q=-inf",),
+                          # LaTeX is exact output only
+                          ("--format", "latex", "--at-q", "0.7"))]
     BAD_AT_Q += [
         ("twist", "--dim", "4", "--beta1", "2", "--at-q", "nan"),
         # finite, but q^(1/8) to the powers in the twist overflows a double
@@ -228,6 +230,12 @@ class TestSizeLimits:
         ("zbn", "--dim", "3", "--strands", "1000000000"),
         ("zbn", "--dim", "1", "--strands", "1000", "--word", "0"),
         ("zbn", "--dim", "5000", "--strands", "1", "--word", "0", "--at-q", "0.7"),
+        # numeric bundles: 2048 rows, a strand count tested before d ** n,
+        # and no strands at all
+        ("zbn", "--dim", "2", "--strands", "11", "--word", "0", "--at-q", "0.7"),
+        ("zbn", "--dim", "2", "--strands", "1000000000", "--word", "0",
+         "--at-q", "0.7"),
+        ("zbn", "--dim", "2", "--strands", "0", "--word", "", "--at-q", "0.7"),
     ]
 
     @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)

@@ -243,4 +243,3 @@ class TestBuilders:
         assert embed(m, left=3) == kron(i3, m)
         assert embed(m, right=2) == kron(m, i2)
         assert embed(m, left=2, right=3) == kron(kron(i2, m), i3)
-

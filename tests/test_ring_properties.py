@@ -36,6 +36,8 @@ def elems(draw):
 
 
 nonzero = elems().filter(lambda e: not e.is_zero)
+shifts = st.one_of(st.just(LaurentPoly()),
+                   st.builds(LaurentPoly.monomial, st.integers(-8, 8), coeffs))
 
 
 @settings
@@ -80,8 +82,10 @@ def test_equal_forms_hash_equal(a, s):
 
 
 @settings
-@given(elems(), elems(), nonzero, st.booleans())
-def test_json_is_faithful(a, c, s, same):
-    # b is a rescaled form of a, or an independent element
-    b = RingElem(a.num * s.num, a.den * s.num) if same else c
+@given(elems(), nonzero, shifts, shifts)
+def test_json_is_faithful(a, s, dn, dd):
+    # b moves the numerator and the denominator of a by a monomial each,
+    # often zero, and stores them over a common factor s
+    hypothesis.assume(not (a.den + dd).is_zero)
+    b = RingElem((a.num + dn) * s.num, (a.den + dd) * s.num)
     assert (a.to_json() == b.to_json()) == (a == b)
