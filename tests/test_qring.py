@@ -23,6 +23,8 @@ from qweyl.qring import (
 )
 from qweyl.twist import TwistConfig, twist_t
 
+from json_decode import elem_from_json, through_text
+
 
 def x_pow(k):
     return RingElem.x_power(k)
@@ -360,6 +362,12 @@ class TestQCombinatorics:
 
 
 class TestSerialization:
+    def test_round_trip(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            e = rand_elem(rng)
+            assert elem_from_json(through_text(e.to_json())) == e
+
     def test_pinned_fractional_element(self):
         # (x^4/2 + 3/2) / (5/2 x^8 + 1/2): the denominator is made monic
         e = RingElem(LaurentPoly({4: Fraction(1, 2), 0: Fraction(3, 2)}),

@@ -15,6 +15,8 @@ from qweyl.repn import (
     x_diagonal,
 )
 
+from json_decode import matrix_from_json, through_text
+
 
 def x_pow(k):
     return RingElem.x_power(k)
@@ -59,6 +61,11 @@ class TestQMatrix:
     def test_shape_checks(self):
         with pytest.raises(ValueError):
             QMatrix.zeros(2, 3) * QMatrix.zeros(2, 3)
+
+    def test_json_round_trip(self):
+        rng = random.Random(6)
+        m = rand_matrix(rng, 3)
+        assert matrix_from_json(through_text(m.to_json())) == m
 
 
 class TestIrrep:

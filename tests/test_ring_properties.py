@@ -1,5 +1,5 @@
 """Hypothesis properties of Q(x): ring axioms, exact quotients, the hash/eq
-contract with int and Fraction, and faithful JSON.
+contract with int and Fraction, and faithful, round-tripping JSON.
 
 Elements mix integer, half-integer and 1/3 coefficients on exponent strides
 1, 4 and 8, the shapes the integer storage and the stride-compressed gcd
@@ -11,6 +11,8 @@ from fractions import Fraction
 import pytest
 
 from qweyl.qring import ONE, ZERO, X, LaurentPoly, RingElem
+
+from json_decode import elem_from_json, through_text
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -89,3 +91,9 @@ def test_json_is_faithful(a, s, dn, dd):
     hypothesis.assume(not (a.den + dd).is_zero)
     b = RingElem((a.num + dn) * s.num, (a.den + dd) * s.num)
     assert (a.to_json() == b.to_json()) == (a == b)
+
+
+@settings
+@given(elems())
+def test_json_round_trip(a):
+    assert elem_from_json(through_text(a.to_json())) == a
