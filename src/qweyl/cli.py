@@ -44,11 +44,14 @@ from .twist import (
 
 MAX_COEFF_INDEX = 16
 """Largest coefficient index that `coeffs --count` and `verify --max-sum`
-accept.  The tables grow fast: beta_coeffs(16, x^4) takes about 4 s on a
-2-vCPU host, and each further index roughly doubles that."""
+accept.  The tables grow fast: beta_coeffs(16, x^4) takes about 0.34 s on
+a 2-vCPU host (Python 3.11.7), and each further index adds about 40%."""
 
 
 def _check_coeff_index(n, option):
+    if n < 0:
+        raise ValueError("%s %d is negative: the coefficient index starts at 0"
+                         % (option, n))
     if n > MAX_COEFF_INDEX:
         raise ValueError("%s %d exceeds the limit %d on the coefficient index"
                          % (option, n, MAX_COEFF_INDEX))
@@ -314,8 +317,11 @@ _SUITES = {
 
 
 def _verify_reports(args):
+    if args.max_dim < 1:
+        raise ValueError("--max-dim %d leaves no dimension to check: it must be "
+                         "at least 1" % args.max_dim)
     # the largest exact matrix is a product on V_d (x) V_d, d = --max-dim
-    check_exact_rows(max(args.max_dim, 0) ** 2, "--max-dim %d" % args.max_dim)
+    check_exact_rows(args.max_dim ** 2, "--max-dim %d" % args.max_dim)
     _check_coeff_index(args.max_sum, "--max-sum")
     beta1 = parse_ring_elem(args.beta1)
     if args.suite == "all":

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from functools import lru_cache
 
 
 def _coeff(v):
@@ -298,24 +299,74 @@ def _dense(p, step):
     return out
 
 
+HEU_GCD_TRIES = 6
+"""Evaluation points the heuristic gcd tries before the PRS takes over."""
+
+
+def _int_positive_lead(p):
+    return [-v for v in p] if p[-1] < 0 else p
+
+
+def _int_heu_gcd(pa, pb):
+    """gcd of primitive integer polynomials by GCDHEU, or None on failure.
+
+    Char, Geddes and Gonnet, "GCDHEU: heuristic polynomial GCD algorithm
+    based on integer GCD computation", J. Symbolic Comput. 7 (1989): with
+    xi >= 2 min(|pa|, |pb|) + 2 in the max-norm, the primitive part of the
+    polynomial whose symmetric base-xi digits are gcd(pa(xi), pb(xi)) is
+    the gcd as soon as it divides both.  Returns it primitive with a
+    positive leading coefficient.
+    """
+    xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 29
+    for _ in range(HEU_GCD_TRIES):
+        va = vb = 0
+        for c in reversed(pa):
+            va = va * xi + c
+        for c in reversed(pb):
+            vb = vb * xi + c
+        h = math.gcd(va, vb)
+        if h:
+            digits = []
+            half = xi // 2
+            while h:
+                d = h % xi
+                if d > half:
+                    d -= xi
+                digits.append(d)
+                h = (h - d) // xi
+            cand = _int_positive_lead(_int_primitive(digits))
+            try:
+                _int_exact_quotient(pa, cand)
+                _int_exact_quotient(pb, cand)
+                return cand
+            except ArithmeticError:
+                pass
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _int_prs_gcd(pa, pb):
+    """gcd of primitive integer polynomials by the primitive pseudo-remainder
+    sequence, which keeps intermediate coefficients bounded; primitive with
+    a positive leading coefficient."""
+    while pb:
+        pa, pb = pb, _int_primitive(_int_pseudo_rem(pa, pb))
+    return _int_positive_lead(pa)
+
+
 def _laurent_gcd(a, b):
     """Monic gcd of the polynomial parts, ignoring x-power units.
 
     Both parts are polynomials in y = x^g for their common exponent stride
-    g; the gcd is taken there, over the integers, by the primitive
-    pseudo-remainder sequence, which keeps intermediate coefficients bounded.
+    g; the gcd is taken there, over the integers, by the heuristic gcd and,
+    where that fails, by the PRS.
     """
     step = _stride(a, b) or 1
     pa = _int_primitive(_dense(a, step))
     pb = _int_primitive(_dense(b, step))
-    while pb:
-        pa, pb = pb, _int_primitive(_int_pseudo_rem(pa, pb))
-    lead = pa[-1]
-    if lead < 0:
-        pa = [-v for v in pa]
-        lead = -lead
-    # pa is primitive, so pa / lead is already in lowest terms
-    return LaurentPoly._raw({i * step: v for i, v in enumerate(pa) if v}, lead)
+    g = _int_heu_gcd(pa, pb) or _int_prs_gcd(pa, pb)
+    # g is primitive, so g / g[-1] is already in lowest terms
+    return LaurentPoly._raw({i * step: v for i, v in enumerate(g) if v}, g[-1])
 
 
 def _exact_div(a, g):
@@ -604,6 +655,12 @@ def q_factorial(n):
     return _FACT_CACHE[n]
 
 
+Q_BINOMIAL_CACHE_SIZE = 1024
+"""Entries kept by the `q_binomial` memo, least recently used first out.
+`verify all --max-dim 3` asks for 65 distinct (n, k)."""
+
+
+@lru_cache(maxsize=Q_BINOMIAL_CACHE_SIZE)
 def q_binomial(n, k):
     """Gaussian binomial [n over k]; zero outside 0 <= k <= n."""
     n, k = int(n), int(k)

@@ -39,6 +39,10 @@ BETA1_CACHE_SIZE = 256
 """Entries kept by each cache keyed by a beta1 or a TwistConfig, least
 recently used first out.  `verify all --max-dim 3` fills at most 28."""
 
+BRACKET_CACHE_SIZE = 2048
+"""Entries kept by the `bracket_coeff` memo.  `verify bform` at the largest
+--max-sum, cli.MAX_COEFF_INDEX = 16, asks for 791 distinct (a, b, n)."""
+
 
 @dataclass(frozen=True)
 class TwistConfig:
@@ -109,6 +113,7 @@ def series_coeff_B(n):
         * q_power(Fraction(-n * n, 2))
 
 
+@lru_cache(maxsize=BRACKET_CACHE_SIZE)
 def bracket_coeff(a, b, n):
     """The two-index series coefficient tying the primed recursion to the
     doubled sum; zero for negative n."""

@@ -30,13 +30,23 @@ def test_traced_names_resolve():
             assert name in cls.__dict__, (group, cls.__name__, name)
 
 
-def test_traced_worker_reports_ring_counts():
+def _traced_counts(*argv):
     done = subprocess.run(
-        [sys.executable, os.path.join(BENCH, "worker.py"), "1", "verify",
-         "four-braid", "--max-dim", "2", "--beta1", "1"],
+        [sys.executable, os.path.join(BENCH, "worker.py"), "1", *argv],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     last = done.stderr.rstrip("\n").splitlines()[-1]
     assert last.startswith(REPORT_TAG)
-    report = json.loads(last[len(REPORT_TAG):])
-    assert report["trace"]["count"]["poly_mul"] > 0
+    return json.loads(last[len(REPORT_TAG):])["trace"]["count"]
+
+
+def test_traced_worker_reports_ring_counts():
+    counts = _traced_counts("verify", "four-braid", "--max-dim", "2", "--beta1", "1")
+    assert counts["poly_mul"] > 0
+
+
+def test_traced_worker_counts_memoized_q_binomial():
+    # the tracer rebinds q_binomial by identity; a memo wrapped around it
+    # under another name would leave the counter at zero
+    counts = _traced_counts("verify", "bform", "--max-sum", "3")
+    assert counts.get("qbinom_calls", 0) > 0

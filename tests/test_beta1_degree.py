@@ -1,5 +1,7 @@
-"""Degrees in beta1: beta_m is a polynomial of degree m in beta1, and the
-twist matrix on V_d one of degree d - 1.
+"""Degrees in beta1: beta_m is a polynomial of degree m in beta1, the
+twist matrix on V_d one of degree d - 1, each side of the cylinder braid
+equation on V_a (x) V_b one of degree (a-1) + (b-1), and each side of the
+braid-matrix form on V_d (x) V_d one of degree 2(d-1).
 
 The degrees are read from outside the code path, as forward differences
 over the integer points beta1 = 0, 1, 2, ...: a polynomial of degree k has
@@ -12,7 +14,13 @@ from fractions import Fraction
 import pytest
 
 from qweyl.qring import ONE, X
-from qweyl.twist import TwistConfig, beta_coeffs, twist_t
+from qweyl.twist import (
+    TwistConfig,
+    beta_coeffs,
+    braid_form_sides,
+    four_braid_sides,
+    twist_t,
+)
 
 M_MAX = 8
 
@@ -36,6 +44,32 @@ def test_twist_has_degree_d_minus_1(d):
     values = [twist_t(d, TwistConfig(beta1=b)) for b in range(d + 1)]
     assert not differences(values[:d], d - 1).is_zero
     assert differences(values, d).is_zero
+
+
+def twist_at(d, beta1):
+    return twist_t(d, TwistConfig(beta1=beta1))
+
+
+@pytest.mark.parametrize("da, db", [(da, db) for da in (1, 2, 3) for db in (1, 2, 3)])
+def test_four_braid_sides_have_degree_at_most_D(da, db):
+    degree = (da - 1) + (db - 1)
+    sides = [four_braid_sides(da, db, twist_at(da, b), twist_at(db, b))
+             for b in range(degree + 2)]
+    for side in (0, 1):
+        assert differences([s[side] for s in sides], degree + 1).is_zero, side
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_braid_form_sides_have_degree_at_most_D(d):
+    degree = 2 * (d - 1)
+    sides = [braid_form_sides(d, twist_at(d, b)) for b in range(degree + 2)]
+    for side in (0, 1):
+        assert differences([s[side] for s in sides], degree + 1).is_zero, side
+
+
+def test_four_braid_left_side_degree_is_exact_at_3_3():
+    lhs = [four_braid_sides(3, 3, twist_at(3, b), twist_at(3, b))[0] for b in range(5)]
+    assert not differences(lhs, 4).is_zero
 
 
 def test_beta_m_matches_symbolic_recursion():

@@ -224,6 +224,11 @@ class TestSizeLimits:
         ("verify", "four-braid", "--max-dim", "40"),
         ("verify", "bform", "--max-sum", "40"),
         ("coeffs", "--count", "100"),
+        # sizes that leave a suite or a table with nothing in it
+        ("verify", "four-braid", "--max-dim", "0"),
+        ("verify", "all", "--max-dim", "-2"),
+        ("verify", "bform", "--max-sum", "-1"),
+        ("coeffs", "--count", "-1"),
         ("coeffs", "--count", "2", "--beta1", "(1+x)^100000"),
         ("twist", "--dim", "2", "--beta1", "((1+x)^99)^99"),
         ("twist", "--dim", "2", "--beta1", "2^100000000"),
@@ -262,6 +267,14 @@ class TestSizeLimits:
         assert cli.MAX_COEFF_INDEX >= 13
         assert max_exact_dim() >= 5 * 5
         assert run_cli("coeffs", "--count", "2", "--beta1", "(1+x)^64")[0] == 0
+
+    def test_smallest_sizes_accepted(self):
+        code, out = run_cli("verify", "four-braid", "--max-dim", "1")
+        assert code == 0 and out.endswith("TOTAL: 2/2 checks passed\n")
+        code, out = run_cli("verify", "bform", "--max-sum", "0")
+        assert code == 0 and "a+b <= 0" in out
+        code, out = run_cli("coeffs", "--count", "0")
+        assert code == 0 and out == "beta_0  = 1\nbeta'_0 = 1\nalpha_0 = 1\n"
 
 
 def _run_python(code):

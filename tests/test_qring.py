@@ -180,6 +180,53 @@ class TestExactDivision:
                 _exact_div(LaurentPoly(a), LaurentPoly(g))
 
 
+class TestHeuristicGcd:
+    """GCDHEU against the PRS fallback, on pairs with a planted common factor."""
+
+    @staticmethod
+    def rand_factor(rng, stride, shape, top):
+        if shape == "constant":
+            exps = [0]
+        elif shape == "monomial":
+            exps = [stride * rng.randint(-3, 3)]
+        else:
+            exps = [stride * i for i in rng.sample(range(-2, 4), rng.randint(2, 4))]
+        return LaurentPoly({e: rng.choice((-1, 1)) * rng.randint(1, top) for e in exps})
+
+    def test_matches_prs_on_planted_factors(self):
+        rng = random.Random("heu-vs-prs")
+        seen = set()
+        heu_used = 0
+        for trial in range(300):
+            stride = rng.choice((1, 2, 4, 8))
+            top = 2 ** 70 if trial % 3 == 0 else 9
+            shape = rng.choice(("dense", "dense", "constant", "monomial"))
+            f = self.rand_factor(rng, stride, shape, top)
+            g, h = (self.rand_factor(rng, stride, "dense", top) for _ in range(2))
+            a, b = f * g, (f * h).shift(rng.randint(-5, 5))
+            step = qring._stride(a, b) or 1
+            pa = qring._int_primitive(qring._dense(a, step))
+            pb = qring._int_primitive(qring._dense(b, step))
+            prs = qring._int_prs_gcd(pa, pb)
+            heu = qring._int_heu_gcd(pa, pb)
+            if heu is not None:
+                heu_used += 1
+                assert heu == prs, (a, b)
+            got = qring._laurent_gcd(a, b)
+            assert got.terms[got.max_exp()] == got.denom and got.min_exp() == 0
+            _exact_div(got, f)  # the planted factor divides the gcd
+            seen.add(shape)
+            if step > 1:
+                seen.add("stride")
+            if pa[-1] < 0:
+                seen.add("negative lead")
+            if max(map(abs, pa)) >= 2 ** 64:
+                seen.add("above 2^64")
+        assert seen == {"dense", "constant", "monomial", "stride", "negative lead",
+                        "above 2^64"}
+        assert heu_used >= 290
+
+
 class TestIntegerStorage:
     def assert_stored_ints(self, *polys):
         for p in polys:

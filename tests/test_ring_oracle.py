@@ -4,7 +4,9 @@ Canonical forms after + - * /, the gcd of polynomial parts and the Gaussian
 binomials are recomputed with sympy's `cancel`, `gcd` and `Poly` division on
 seeded random inputs: integer, half-integer and 1/3 coefficients on exponent
 strides 1, 4 and 8.  Every sympy input is built from the same plain
-coefficient dicts as the qweyl input, never from a qweyl result.
+coefficient dicts as the qweyl input, never from a qweyl result.  The
+arithmetic and gcd oracles run twice: on the heuristic gcd, and with the
+heuristic forced to fail so that every gcd takes the PRS fallback.
 """
 
 import math
@@ -13,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from qweyl import qring
 from qweyl.qring import LaurentPoly, RingElem, _laurent_gcd, q_binomial
 
 sympy = pytest.importorskip("sympy")
@@ -101,6 +104,39 @@ def test_gcd_matches_sympy(kind, stride):
         common = sympy.gcd(fg, fh).monic()
         low = min(e for (e,) in common.monoms())
         assert stored(got) == poly_coeffs(common, low), (fg, fh)
+
+
+@pytest.fixture
+def prs_only(monkeypatch):
+    """Every gcd takes the PRS fallback: the heuristic always fails."""
+    monkeypatch.setattr(qring, "_int_heu_gcd", lambda pa, pb: None)
+
+
+@pytest.mark.parametrize("kind, stride", CASES)
+def test_canonical_forms_match_cancel_on_prs_path(kind, stride, prs_only):
+    test_canonical_forms_match_cancel(kind, stride)
+
+
+@pytest.mark.parametrize("kind, stride", CASES)
+def test_gcd_matches_sympy_on_prs_path(kind, stride, prs_only):
+    test_gcd_matches_sympy(kind, stride)
+
+
+def test_gcd_after_failed_first_evaluation_point(monkeypatch):
+    # found by a seeded search: at the first xi the candidate does not
+    # divide, and a later xi succeeds
+    f, g, h = {0: -2, 3: -1, 4: -3}, {0: -3, 1: -3, 4: 3}, {2: 1, 3: -2}
+    fg = LaurentPoly(f) * LaurentPoly(g)
+    fh = LaurentPoly(f) * LaurentPoly(h)
+    # the primitive integer lists that _laurent_gcd hands to the heuristic
+    pa = qring._int_primitive(qring._dense(fg, 1))
+    pb = qring._int_primitive(qring._dense(fh, 1))
+    monkeypatch.setattr(qring, "HEU_GCD_TRIES", 1)
+    assert qring._int_heu_gcd(pa, pb) is None
+    monkeypatch.undo()
+    assert qring._int_heu_gcd(pa, pb) is not None
+    common = sympy.gcd(*integer_polys(fg.coefficients(), fh.coefficients())).monic()
+    assert stored(_laurent_gcd(fg, fh)) == poly_coeffs(common)
 
 
 def test_q_binomial_matches_gaussian_product():

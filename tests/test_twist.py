@@ -6,12 +6,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qweyl.qring import ONE, ZERO, RingElem, q_factorial, q_int, q_power
+from qweyl.qring import (
+    ONE,
+    Q_BINOMIAL_CACHE_SIZE,
+    ZERO,
+    RingElem,
+    q_binomial,
+    q_factorial,
+    q_int,
+    q_power,
+)
 from qweyl.repn import QMatrix, irrep, kron, x_diagonal
 from qweyl.rmat import r_inverse, r_matrix, r21
-from qweyl import twist
+from qweyl import cli, twist
 from qweyl.twist import (
     BETA1_CACHE_SIZE,
+    BRACKET_CACHE_SIZE,
     REFERENCE_MATRICES,
     CoeffTable,
     TwistConfig,
@@ -411,10 +421,14 @@ class TestNegativeTwins:
 
     @pytest.fixture(autouse=True)
     def drop_caches(self):
-        # a tampered builder may reach a cached one that calls it
+        # a tampered builder may reach a cached one that calls it, and a
+        # cached one filled before the tampering would hide it
+        caches = (beta_coeffs, zhat, zhat_inverse, z_elem, twist_t,
+                  coproduct_zhat, coproduct_z, bracket_coeff, q_binomial)
+        for cached in caches:
+            cached.cache_clear()
         yield
-        for cached in (beta_coeffs, zhat, zhat_inverse, z_elem, twist_t,
-                       coproduct_zhat, coproduct_z):
+        for cached in caches:
             cached.cache_clear()
 
     def test_zdelta_tampered_z(self, monkeypatch):
@@ -481,6 +495,19 @@ class TestNegativeTwins:
             "FAIL index-shift recurrences for a, b <= 6  [a-shift (a=1,b=3,n=1), "
             "b-shift (a=2,b=2,n=1), a-shift (a=2,b=3,n=1)]"]
 
+    def test_bform_tampered_q_binomial(self, monkeypatch):
+        true_binomial = twist.q_binomial
+        monkeypatch.setattr(twist, "q_binomial",
+                            lambda n, k: true_binomial(n, k)
+                            + (ONE if (n, k) == (3, 1) else ZERO))
+        rep = verify_bform(6, B1)
+        # [3 over 1] enters bracket_coeff(a, b, 1) for a = 3 or b = 3
+        assert failed_lines(rep) == [
+            "FAIL doubled sum reproduces beta'_(a+b) for a+b <= 6  "
+            "[(a=1,b=3), (a=2,b=3), (a=3,b=1)]",
+            "FAIL index-shift recurrences for a, b <= 6  [a-shift (a=0,b=3,n=1), "
+            "b-shift (a=1,b=2,n=1), a-shift (a=1,b=3,n=1)]"]
+
     def test_bform_tampered_betas(self, monkeypatch):
         true_table = twist.beta_coeffs
 
@@ -513,3 +540,19 @@ class TestCacheBounds:
             assert info.maxsize == BETA1_CACHE_SIZE, name
             assert info.currsize <= BETA1_CACHE_SIZE, name
             assert info.misses >= 1000, name
+
+    def test_coefficient_memos_stay_within_bound(self):
+        # out-of-range indices are cheap zeros, but each is an entry
+        for k in range(2 * Q_BINOMIAL_CACHE_SIZE):
+            q_binomial(k, -1)
+        for k in range(2 * BRACKET_CACHE_SIZE):
+            bracket_coeff(k, 0, -1)
+        for cached, size in ((q_binomial, Q_BINOMIAL_CACHE_SIZE),
+                             (bracket_coeff, BRACKET_CACHE_SIZE)):
+            info = cached.cache_info()
+            assert info.maxsize == size
+            assert info.currsize <= size
+            cached.cache_clear()
+        # the largest bform sweep the CLI admits fits in the bracket memo
+        verify_bform(cli.MAX_COEFF_INDEX, B1)
+        assert bracket_coeff.cache_info().currsize < BRACKET_CACHE_SIZE
