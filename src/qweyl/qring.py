@@ -41,23 +41,18 @@ def _int_primitive(ints):
 
 
 def _int_pseudo_rem(a, b):
-    # fraction-free remainder: repeatedly a := (lc(b)/g)*a - (lc(a)/g)*x^k*b
-    # with g = gcd(lc(a), lc(b)) > 0.  Each step differs from the classical
-    # lc(b)*a - lc(a)*x^k*b by the positive factor 1/g only, so the
-    # primitive part of the result, and with it the gcd, is the same.
+    # fraction-free remainder: repeatedly a := lc(b)*a - lc(a)*x^k*b
     a = a[:]
     db = len(b) - 1
     lb = b[-1]
     while a and len(a) - 1 >= db:
         la = a[-1]
-        g = math.gcd(la, lb)
-        mb, ma = lb // g, la // g
         shift = len(a) - 1 - db
-        if mb != 1:
+        if lb != 1:
             for i in range(len(a)):
-                a[i] *= mb
+                a[i] *= lb
         for i in range(len(b)):
-            a[shift + i] -= ma * b[i]
+            a[shift + i] -= la * b[i]
         _trim(a)
     return a
 
@@ -303,19 +298,16 @@ HEU_GCD_TRIES = 6
 """Evaluation points the heuristic gcd tries before the PRS takes over."""
 
 
-def _int_positive_lead(p):
-    return [-v for v in p] if p[-1] < 0 else p
-
-
 def _int_heu_gcd(pa, pb):
-    """gcd of primitive integer polynomials by GCDHEU, or None on failure.
+    """(g, pa / g, pb / g) for the gcd g of primitive integer polynomials,
+    by GCDHEU, or None on failure.
 
     Char, Geddes and Gonnet, "GCDHEU: heuristic polynomial GCD algorithm
     based on integer GCD computation", J. Symbolic Comput. 7 (1989): with
     xi >= 2 min(|pa|, |pb|) + 2 in the max-norm, the primitive part of the
     polynomial whose symmetric base-xi digits are gcd(pa(xi), pb(xi)) is
-    the gcd as soon as it divides both.  Returns it primitive with a
-    positive leading coefficient.
+    the gcd as soon as it divides both.  A constant candidate divides
+    everything, so its cofactors are pa and pb themselves.
     """
     xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 29
     for _ in range(HEU_GCD_TRIES):
@@ -334,11 +326,13 @@ def _int_heu_gcd(pa, pb):
                     d -= xi
                 digits.append(d)
                 h = (h - d) // xi
-            cand = _int_positive_lead(_int_primitive(digits))
+            # h > 0 has a positive leading digit, so a constant is [1]
+            cand = _int_primitive(digits)
+            if len(cand) == 1:
+                return cand, pa, pb
             try:
-                _int_exact_quotient(pa, cand)
-                _int_exact_quotient(pb, cand)
-                return cand
+                return (cand, _int_exact_quotient(pa, cand),
+                        _int_exact_quotient(pb, cand))
             except ArithmeticError:
                 pass
         xi = xi * 73794 // 27011
@@ -347,43 +341,39 @@ def _int_heu_gcd(pa, pb):
 
 def _int_prs_gcd(pa, pb):
     """gcd of primitive integer polynomials by the primitive pseudo-remainder
-    sequence, which keeps intermediate coefficients bounded; primitive with
-    a positive leading coefficient."""
+    sequence, which keeps intermediate coefficients bounded; primitive, with
+    a leading coefficient of either sign."""
     while pb:
         pa, pb = pb, _int_primitive(_int_pseudo_rem(pa, pb))
-    return _int_positive_lead(pa)
+    return pa
 
 
-def _laurent_gcd(a, b):
-    """Monic gcd of the polynomial parts, ignoring x-power units.
+def _cancel(a, b):
+    """(a / g, b / g) for the gcd g of the polynomial parts of a and b,
+    ignoring x-power units; a and b themselves when g is constant.
 
-    Both parts are polynomials in y = x^g for their common exponent stride
-    g; the gcd is taken there, over the integers, by the heuristic gcd and,
-    where that fails, by the PRS.
+    Both parts are polynomials in y = x^s for their common exponent stride
+    s; the gcd and its cofactors are taken there, over the integers, by the
+    heuristic gcd and, where that fails, by the PRS.  The sign of g cancels
+    in the ratio of the two results.
     """
     step = _stride(a, b) or 1
-    pa = _int_primitive(_dense(a, step))
-    pb = _int_primitive(_dense(b, step))
-    g = _int_heu_gcd(pa, pb) or _int_prs_gcd(pa, pb)
-    # g is primitive, so g / g[-1] is already in lowest terms
-    return LaurentPoly._raw({i * step: v for i, v in enumerate(g) if v}, g[-1])
-
-
-def _exact_div(a, g):
-    """Divide Laurent poly a by g (poly, g | a exactly up to an x-unit)."""
-    if g.is_one:
-        return a
-    step = _stride(a, g) or 1
-    pg = _dense(g, step)
-    content = math.gcd(*pg)
-    if content != 1:
-        pg = [v // content for v in pg]
-    q = _int_exact_quotient(_dense(a, step), pg)
-    # a / g = (A / pg) * g.denom / (a.denom * content) for numerators A
-    shift = a.min_exp() - g.min_exp()
-    return LaurentPoly._reduced(
-        {i * step + shift: v * g.denom for i, v in enumerate(q) if v},
-        a.denom * content)
+    da, db = _dense(a, step), _dense(b, step)
+    ca, cb = math.gcd(*da), math.gcd(*db)
+    pa, pb = [v // ca for v in da], [v // cb for v in db]
+    found = _int_heu_gcd(pa, pb)
+    if found is None:
+        g = _int_prs_gcd(pa, pb)
+        found = g, _int_exact_quotient(pa, g), _int_exact_quotient(pb, g)
+    g, qa, qb = found
+    if len(g) == 1:
+        return a, b
+    # content(qa) = 1 by Gauss's lemma, and gcd(ca, a.denom) = 1
+    ea, eb = a.min_exp(), b.min_exp()
+    return (LaurentPoly._raw({ea + i * step: ca * v for i, v in enumerate(qa) if v},
+                             a.denom),
+            LaurentPoly._raw({eb + i * step: cb * v for i, v in enumerate(qb) if v},
+                             b.denom))
 
 
 class RingElem:
@@ -468,15 +458,9 @@ class RingElem:
         a, b = self.num, self.den
         c, d = other.num, other.den
         if not d.is_one:
-            g = _laurent_gcd(a, d)
-            if not g.is_one:
-                a = _exact_div(a, g)
-                d = _exact_div(d, g)
+            a, d = _cancel(a, d)
         if not b.is_one:
-            g = _laurent_gcd(c, b)
-            if not g.is_one:
-                c = _exact_div(c, g)
-                b = _exact_div(b, g)
+            c, b = _cancel(c, b)
         return _normalize_unit(a * c, b * d)
 
     __rmul__ = __mul__
@@ -604,11 +588,7 @@ def _make(num, den):
         return ZERO
     if den.is_one:
         return RingElem._raw(num, den)
-    g = _laurent_gcd(num, den)
-    if not g.is_one:
-        num = _exact_div(num, g)
-        den = _exact_div(den, g)
-    return _normalize_unit(num, den)
+    return _normalize_unit(*_cancel(num, den))
 
 
 ZERO = RingElem._raw(_P_ZERO, _P_ONE)

@@ -412,8 +412,11 @@ def symmetric_basis_matrix(d, beta1, q0):
     D_0 = 1, D_{k+1} = D_k / sqrt([k+1][d-1-k]) together with the overall
     scale 1/[d-1]!, which restores the corner normalization q^(-(d-1)^2/4).
     Entry (i, j) is (scale * (t_ij * (1/D_i))) * D_j, the order of the
-    floating-point operations that fixes the printed digits.
+    floating-point operations that fixes the printed digits.  The square
+    roots are real only for q0 > 0, so any other q0 is refused.
     """
+    if not q0 > 0:
+        raise ValueError("the mirror-symmetric basis needs q > 0, got q = %s" % q0)
     t = twist_t(d, TwistConfig(beta1=beta1))
     coupling = [q_int(k + 1).evaluate(q0).real * q_int(d - 1 - k).evaluate(q0).real
                 for k in range(d - 1)]

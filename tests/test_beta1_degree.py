@@ -1,6 +1,7 @@
-"""Degrees in beta1: beta_m is a polynomial of degree m in beta1, the
-twist matrix on V_d one of degree d - 1, each side of the cylinder braid
-equation on V_a (x) V_b one of degree (a-1) + (b-1), and each side of the
+"""Degrees in beta1: beta_m and alpha_m are polynomials of degree m in
+beta1, the twist matrix and zhat's inverse on V_d ones of degree d - 1,
+each side of the cylinder braid equation and of the coproduct condition
+for z on V_a (x) V_b one of degree (a-1) + (b-1), and each side of the
 braid-matrix form on V_d (x) V_d one of degree 2(d-1).
 
 The degrees are read from outside the code path, as forward differences
@@ -14,12 +15,17 @@ from fractions import Fraction
 import pytest
 
 from qweyl.qring import ONE, X
+from qweyl.repn import embed
+from qweyl.rmat import conjugated_r
 from qweyl.twist import (
     TwistConfig,
     beta_coeffs,
     braid_form_sides,
+    coproduct_z,
     four_braid_sides,
     twist_t,
+    z_elem,
+    zhat_inverse,
 )
 
 M_MAX = 8
@@ -32,18 +38,46 @@ def differences(values, order):
     return values[0]
 
 
+def assert_degree(values, degree):
+    """values at beta1 = 0..degree+1 come from a polynomial of exactly that
+    degree."""
+    assert len(values) == degree + 2
+    assert not differences(values[:-1], degree).is_zero
+    assert differences(values, degree + 1).is_zero
+
+
 @pytest.mark.parametrize("m", range(1, M_MAX + 1))
 def test_beta_m_has_degree_m(m):
-    values = [beta_coeffs(M_MAX, b).betas[m] for b in range(m + 2)]
-    assert not differences(values[:m + 1], m).is_zero
-    assert differences(values, m + 1).is_zero
+    assert_degree([beta_coeffs(M_MAX, b).betas[m] for b in range(m + 2)], m)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_alpha_m_has_degree_m(m):
+    assert_degree([beta_coeffs(6, b).alphas[m] for b in range(m + 2)], m)
 
 
 @pytest.mark.parametrize("d", range(2, 6))
 def test_twist_has_degree_d_minus_1(d):
-    values = [twist_t(d, TwistConfig(beta1=b)) for b in range(d + 1)]
-    assert not differences(values[:d], d - 1).is_zero
-    assert differences(values, d).is_zero
+    assert_degree([twist_t(d, TwistConfig(beta1=b)) for b in range(d + 1)], d - 1)
+
+
+@pytest.mark.parametrize("d", range(2, 5))
+def test_zhat_inverse_has_degree_d_minus_1(d):
+    assert_degree([zhat_inverse(d, b) for b in range(d + 1)], d - 1)
+
+
+@pytest.mark.parametrize("da, db", [(da, db) for da in (1, 2, 3) for db in (1, 2, 3)
+                                    if (da, db) != (1, 1)])
+def test_zdelta_sides_have_degree_da_plus_db_minus_2(da, db):
+    degree = da + db - 2
+    lhs, rhs = [], []
+    for b in range(degree + 2):
+        lhs.append(coproduct_z(da, db, b))
+        z1 = embed(z_elem(da, b), right=db)
+        z2 = embed(z_elem(db, b), left=da)
+        rhs.append(z2 * conjugated_r(da, db) * z1)
+    assert_degree(lhs, degree)
+    assert_degree(rhs, degree)
 
 
 def twist_at(d, beta1):

@@ -207,6 +207,9 @@ class TestUsageErrors:
         ("rmatrix", "--dims", "3,3", "--at-q", "1e300"),
         # H evaluates, X overflows: nothing of H may reach stdout
         ("irrep", "--dim", "200", "--at-q", "1e300")]
+    # the mirror-symmetric basis takes real square roots, so needs q > 0
+    BAD_AT_Q += [("twist", "--dim", d, "--basis", "symmetric", "--at-q", q)
+                 for d, q in (("3", "-0.9"), ("5", "-2"), ("3", "-2"), ("3", "-0.5"))]
 
     @pytest.mark.parametrize("argv", BAD_AT_Q, ids=" ".join)
     def test_bad_at_q(self, argv, capsys):

@@ -14,7 +14,8 @@ from qweyl.qring import (
     Q,
     LaurentPoly,
     RingElem,
-    _exact_div,
+    _cancel,
+    _int_exact_quotient,
     parse_ring_elem,
     q_binomial,
     q_factorial,
@@ -153,8 +154,17 @@ class TestCanonicalForm:
             for e in (a * b, a + b):
                 if e.is_zero or e.den.is_one:
                     continue
-                from qweyl.qring import _laurent_gcd
-                assert _laurent_gcd(e.num, e.den).is_one
+                num, den = _cancel(e.num, e.den)
+                assert num is e.num and den is e.den
+
+
+def int_mul(a, b):
+    """Product of ascending integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
 
 
 class TestExactDivision:
@@ -162,22 +172,54 @@ class TestExactDivision:
         # (x^8 - 1/4) / (x^4 - 1/2) = x^4 + 1/2, on stride 4
         a = LaurentPoly({8: 1, 0: Fraction(-1, 4)})
         g = LaurentPoly({4: 1, 0: Fraction(-1, 2)})
-        assert _exact_div(a, g) == LaurentPoly({4: 1, 0: Fraction(1, 2)})
+        qa, qg = _cancel(a, g)
+        assert qg.terms.keys() == {0}
+        assert qa == LaurentPoly({4: 1, 0: Fraction(1, 2)}) * qg
         # a shifted dividend keeps its x-unit: x^3 (3x^16 - 3) / (x^8 - 1)
         a = LaurentPoly({19: 3, 3: -3})
-        assert _exact_div(a, LaurentPoly({8: 1, 0: -1})) == LaurentPoly({11: 3, 3: 3})
+        qa, qg = _cancel(a, LaurentPoly({8: 1, 0: -1}))
+        assert qg in (LaurentPoly({0: 1}), LaurentPoly({0: -1}))
+        assert qa == LaurentPoly({11: 3, 3: 3}) * qg
 
     def test_inexact_divisor_raises(self):
+        # ascending integer coefficients, in y = x^4 where the stride is 4
         cases = [
-            ({8: 1, 0: 1}, {4: 1, 0: 2}),        # stride 4, remainder 5
-            ({8: 1, 4: 1}, {8: 1, 0: 1}),        # strides 4 and 8 mixed
-            ({1: 1, 0: 1}, {1: 2, 0: 1}),        # leading 1 / 2 not integral
-            ({3: 2, 0: 1}, {1: 2, 0: 1}),        # second leading -1 / 2 not integral
-            ({3: 1, 0: 1}, {5: 1, 0: 1}),        # divisor of higher degree
+            ([1, 0, 1], [2, 1]),                 # stride 4, remainder 5
+            ([1, 1], [1, 0, 1]),                 # 1 + x^4 by 1 + x^8, stride 4
+            ([1, 1], [1, 2]),                    # leading 1 / 2 not integral
+            ([1, 0, 0, 2], [1, 2]),              # second leading -1 / 2 not integral
+            ([1, 0, 0, 1], [1, 0, 0, 0, 0, 1]),  # divisor of higher degree
         ]
         for a, g in cases:
             with pytest.raises(ArithmeticError, match="inexact"):
-                _exact_div(LaurentPoly(a), LaurentPoly(g))
+                _int_exact_quotient(a, g)
+
+    def test_divisions_per_cancel(self, monkeypatch):
+        # a gcd found at the first xi costs one division per side, which
+        # also serves as the heuristic's acceptance test; a constant gcd none
+        calls = []
+
+        def counted(a, b):
+            calls.append(b)
+            return _int_exact_quotient(a, b)
+
+        monkeypatch.setattr(qring, "_int_exact_quotient", counted)
+        monkeypatch.setattr(qring, "HEU_GCD_TRIES", 1)
+        half = Fraction(1, 2)
+        common = [({16: 1, 0: -1}, {8: 1, 0: -1}),
+                  ({2: 3, 1: -3}, {5: 1, 3: -1}),
+                  ({8: 1, 0: Fraction(-1, 4)}, {4: 1, 0: -half})]
+        coprime = [({1: 1, 0: 1}, {1: 1, 0: 2}),
+                   ({8: 2, 0: half}, {0: 3}),
+                   ({4: 1}, {12: 1, 0: 1})]
+        for pairs, per_call, constant in ((common, 2, False), (coprime, 0, True)):
+            for a, b in pairs:
+                a, b = LaurentPoly(a), LaurentPoly(b)
+                del calls[:]
+                qa, qb = _cancel(a, b)
+                assert len(calls) == per_call, (a, b)
+                assert (qa is a and qb is b) == constant
+                assert qa * b == qb * a
 
 
 class TestHeuristicGcd:
@@ -208,13 +250,19 @@ class TestHeuristicGcd:
             pa = qring._int_primitive(qring._dense(a, step))
             pb = qring._int_primitive(qring._dense(b, step))
             prs = qring._int_prs_gcd(pa, pb)
-            heu = qring._int_heu_gcd(pa, pb)
-            if heu is not None:
+            found = qring._int_heu_gcd(pa, pb)
+            if found is not None:
                 heu_used += 1
-                assert heu == prs, (a, b)
-            got = qring._laurent_gcd(a, b)
-            assert got.terms[got.max_exp()] == got.denom and got.min_exp() == 0
-            _exact_div(got, f)  # the planted factor divides the gcd
+                gcd, qa, qb = found
+                assert gcd in (prs, [-v for v in prs]), (a, b)
+                assert int_mul(gcd, qa) == pa and int_mul(gcd, qb) == pb, (a, b)
+            # the planted factor divides the gcd, both read in x
+            in_x = [0] * (step * (len(prs) - 1) + 1)
+            in_x[::step] = prs
+            _int_exact_quotient(in_x, qring._int_primitive(qring._dense(f, 1)))
+            ca, cb = _cancel(a, b)
+            assert ca * b == cb * a
+            assert (ca is a) == (len(prs) == 1)
             seen.add(shape)
             if step > 1:
                 seen.add("stride")

@@ -1,12 +1,13 @@
 """The ring core against sympy as an independent reference.
 
-Canonical forms after + - * /, the gcd of polynomial parts and the Gaussian
-binomials are recomputed with sympy's `cancel`, `gcd` and `Poly` division on
-seeded random inputs: integer, half-integer and 1/3 coefficients on exponent
-strides 1, 4 and 8.  Every sympy input is built from the same plain
-coefficient dicts as the qweyl input, never from a qweyl result.  The
-arithmetic and gcd oracles run twice: on the heuristic gcd, and with the
-heuristic forced to fail so that every gcd takes the PRS fallback.
+Canonical forms after + - * /, the cofactors of the gcd of polynomial parts
+and the Gaussian binomials are recomputed with sympy's `cancel`, `gcd` and
+`Poly` division on seeded random inputs: integer, half-integer and 1/3
+coefficients on exponent strides 1, 4 and 8.  Every sympy input is built
+from the same plain coefficient dicts as the qweyl input, never from a
+qweyl result.  The arithmetic and gcd oracles run twice: on the heuristic
+gcd, and with the heuristic forced to fail so that every gcd takes the PRS
+fallback.
 """
 
 import math
@@ -16,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from qweyl import qring
-from qweyl.qring import LaurentPoly, RingElem, _laurent_gcd, q_binomial
+from qweyl.qring import LaurentPoly, RingElem, _cancel, q_binomial
 
 sympy = pytest.importorskip("sympy")
 
@@ -92,6 +93,28 @@ def test_canonical_forms_match_cancel(kind, stride):
             assert (stored(got.num), stored(got.den)) == sympy_canonical(num, den), got
 
 
+def part(p):
+    """The polynomial part of a LaurentPoly as an integer sympy Poly, free of
+    x-power units and up to a rational constant."""
+    return integer_polys(p.coefficients())[0]
+
+
+def check_cofactors(a, b):
+    """_cancel(a, b) against sympy: the results keep the ratio a / b, are
+    coprime, and a / a' is the gcd of the polynomial parts up to a rational
+    constant."""
+    ca, cb = _cancel(a, b)
+    assert stored(ca) and stored(cb)
+    assert ca * b == cb * a, (a, b)
+    assert sympy.gcd(part(ca), part(cb)).degree() == 0, (a, b)
+    quot, rem = sympy.div(part(a), part(ca), domain="QQ")
+    assert rem.is_zero
+    common = sympy.gcd(part(a), part(b))
+    assert quot.monic() == common.monic(), (a, b)
+    if common.degree() == 0:
+        assert ca is a and cb is b
+
+
 @pytest.mark.parametrize("kind, stride", CASES)
 def test_gcd_matches_sympy(kind, stride):
     rng = random.Random("gcd-%s-%d" % (kind, stride))
@@ -99,11 +122,10 @@ def test_gcd_matches_sympy(kind, stride):
     for _ in range(8):
         f, g, h = (integer_polys(rand_coeffs(rng, denom, stride))[0] for _ in range(3))
         fg, fh = f * g, f * h
-        got = _laurent_gcd(LaurentPoly(poly_coeffs(fg, 5)), LaurentPoly(poly_coeffs(fh, -2)))
-        # the gcd of the polynomial parts, free of x-power units
-        common = sympy.gcd(fg, fh).monic()
-        low = min(e for (e,) in common.monoms())
-        assert stored(got) == poly_coeffs(common, low), (fg, fh)
+        check_cofactors(LaurentPoly(poly_coeffs(fg, 5)), LaurentPoly(poly_coeffs(fh, -2)))
+        # rational coefficients, and a pair whose gcd may be constant
+        check_cofactors(LaurentPoly(rand_coeffs(rng, denom, stride)),
+                        LaurentPoly(rand_coeffs(rng, denom, stride)))
 
 
 @pytest.fixture
@@ -128,15 +150,14 @@ def test_gcd_after_failed_first_evaluation_point(monkeypatch):
     f, g, h = {0: -2, 3: -1, 4: -3}, {0: -3, 1: -3, 4: 3}, {2: 1, 3: -2}
     fg = LaurentPoly(f) * LaurentPoly(g)
     fh = LaurentPoly(f) * LaurentPoly(h)
-    # the primitive integer lists that _laurent_gcd hands to the heuristic
+    # the primitive integer lists that _cancel hands to the heuristic
     pa = qring._int_primitive(qring._dense(fg, 1))
     pb = qring._int_primitive(qring._dense(fh, 1))
     monkeypatch.setattr(qring, "HEU_GCD_TRIES", 1)
     assert qring._int_heu_gcd(pa, pb) is None
     monkeypatch.undo()
     assert qring._int_heu_gcd(pa, pb) is not None
-    common = sympy.gcd(*integer_polys(fg.coefficients(), fh.coefficients())).monic()
-    assert stored(_laurent_gcd(fg, fh)) == poly_coeffs(common)
+    check_cofactors(fg, fh)
 
 
 def test_q_binomial_matches_gaussian_product():
