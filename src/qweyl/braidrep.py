@@ -60,11 +60,12 @@ class BraidWord:
         marks an inverse, e.g. \"0 1 0' 1\"."""
         letters = []
         for tok in text.split():
-            exp = 1
-            if tok.endswith("'"):
-                exp = -1
-                tok = tok[:-1]
-            letters.append((int(tok), exp))
+            index = tok[:-1] if tok.endswith("'") else tok
+            if not (index.isascii() and index.isdigit()):
+                raise ValueError("bad letter %r in braid word: write whitespace-separated "
+                                 "generator indices, each with a trailing ' for an "
+                                 "inverse, e.g. \"0 1 0' 1\"" % tok)
+            letters.append((int(index), -1 if tok.endswith("'") else 1))
         return cls(n=n, letters=tuple(letters))
 
 

@@ -82,6 +82,29 @@ def _int_exact_quotient(a, b):
     return q
 
 
+def _mul_add(out, a, b):
+    """out + a * b on exponent -> integer numerator dicts, zero sums dropped;
+    a new dict when out is empty and a factor is a monomial, else out itself."""
+    if not out and (len(a) == 1 or len(b) == 1):
+        if len(a) != 1:
+            a, b = b, a
+        (ea, ca), = a.items()
+        return {ea + e: ca * c for e, c in b.items()}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            s = out.get(e)
+            if s is None:
+                out[e] = ca * cb
+            else:
+                s += ca * cb
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
+
+
 class LaurentPoly:
     """A Laurent polynomial in x with exact rational coefficients.
 
@@ -118,7 +141,8 @@ class LaurentPoly:
 
     @classmethod
     def _reduced(cls, terms, denom):
-        # internal constructor: nonzero integer terms over a positive denom
+        # internal constructor: integer terms, zeros omitted, over a positive
+        # denom; no terms at all reduce to the zero polynomial over 1
         if denom != 1:
             g = math.gcd(denom, *terms.values())
             if g != 1:
@@ -186,30 +210,8 @@ class LaurentPoly:
         return LaurentPoly._raw({e: -c for e, c in self.terms.items()}, self.denom)
 
     def __mul__(self, other):
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return _P_ZERO
-        if len(a) == 1:
-            (ea, ca), = a.items()
-            out = {ea + e: ca * c for e, c in b.items()}
-        elif len(b) == 1:
-            (eb, cb), = b.items()
-            out = {e + eb: c * cb for e, c in a.items()}
-        else:
-            out = {}
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    e = ea + eb
-                    s = out.get(e)
-                    if s is None:
-                        out[e] = ca * cb
-                    else:
-                        s += ca * cb
-                        if s:
-                            out[e] = s
-                        else:
-                            del out[e]
-        return LaurentPoly._reduced(out, self.denom * other.denom)
+        return LaurentPoly._reduced(_mul_add({}, self.terms, other.terms),
+                                    self.denom * other.denom)
 
     def scale(self, c):
         c = _coeff(c)
@@ -595,6 +597,33 @@ ZERO = RingElem._raw(_P_ZERO, _P_ONE)
 ONE = RingElem._raw(_P_ONE, _P_ONE)
 X = RingElem.x_power(1)
 Q = RingElem.x_power(8)
+
+
+def dot(pairs):
+    """The sum of a * b over the pairs (a, b) of ring elements.  Polynomial
+    products accumulate over one integer denominator, rescaled only when a
+    new one shows up, and are reduced once; a pair with a rational-function
+    factor is added through the ring operators."""
+    terms = {}
+    denom = 1
+    rest = ZERO
+    for a, b in pairs:
+        if not (a.den.is_one and b.den.is_one):
+            rest = rest + a * b
+            continue
+        ta = a.num.terms
+        d = a.num.denom * b.num.denom
+        if denom % d:
+            m = d // math.gcd(denom, d)
+            terms = {e: c * m for e, c in terms.items()}
+            denom *= m
+        if d != denom:
+            ta = {e: c * (denom // d) for e, c in ta.items()}
+        terms = _mul_add(terms, ta, b.num.terms)
+    if not terms:
+        return rest
+    total = RingElem._raw(LaurentPoly._reduced(terms, denom), _P_ONE)
+    return total + rest if rest.num.terms else total
 
 
 def q_power(r):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .qring import ONE, ZERO, RingElem, as_elem, q_int
+from .qring import ONE, ZERO, RingElem, as_elem, dot, q_int
 
 
 class QMatrix:
@@ -81,20 +81,20 @@ class QMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch: %dx%d times %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
+        nonzero_b = [[(j, b) for j, b in enumerate(row) if b.num.terms]
+                     for row in other.entries]
         out = []
-        for i in range(self.rows):
-            acc = [ZERO] * other.cols
-            row_a = self.entries[i]
-            for k in range(self.cols):
-                a = row_a[k]
-                if not a.num.terms:
-                    continue
-                row_b = other.entries[k]
-                for j in range(other.cols):
-                    b = row_b[j]
-                    if b.num.terms:
-                        acc[j] = acc[j] + a * b
-            out.append(tuple(acc))
+        for row_a in self.entries:
+            # output column -> the (a, b) pairs whose products sum to it
+            by_col = {}
+            for a, row_b in zip(row_a, nonzero_b):
+                if a.num.terms:
+                    for j, b in row_b:
+                        by_col.setdefault(j, []).append((a, b))
+            row = [ZERO] * other.cols
+            for j, pairs in by_col.items():
+                row[j] = pairs[0][0] * pairs[0][1] if len(pairs) == 1 else dot(pairs)
+            out.append(tuple(row))
         return QMatrix._raw(self.rows, other.cols, tuple(out))
 
     def scale(self, s):

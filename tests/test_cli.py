@@ -218,6 +218,17 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("word", ["0,1,-1", "0''"])
+    def test_bad_braid_word(self, word, capsys):
+        code, out = run_cli("zbn", "--dim", "3", "--strands", "2", "--word", word)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        # names the bad token and states the syntax
+        assert repr(word) in err
+        assert "whitespace-separated generator indices" in err
+        assert "trailing '" in err
+
 
 class TestSizeLimits:
     REFUSED = [

@@ -41,6 +41,14 @@ GOLDEN = [
     (("zbn", "--dim", "2", "--strands", "3", "--beta1", "1/3",
       "--word", "0 1 0' 2", "--at-q", "0.7"),
      "84492747ba0f8658e15e39ecafa3ad8b4ac1b92a61c10851fe755a0199e1573c"),
+    # matrix products: 81 rows of non-integer coefficients through inverse
+    # letters, and rational-function entries summed in one product entry
+    (("zbn", "--dim", "3", "--strands", "4", "--beta1", "7/2",
+      "--word", "0 1' 2 3' 0' 1 2' 3", "--format", "json"),
+     "5eceed216b79ca6b28396174bfcec6c50c46396996459ee1b8e673257d5bdbdf"),
+    (("zbn", "--dim", "2", "--strands", "3", "--beta1", "x^4/(1+x^8)",
+      "--word", "0 1 0' 2", "--format", "json"),
+     "4ecdc8132462763a8d1b7f48b58fb5de7cf7c00d58dcd8b08d11587ff6a9b3ff"),
     # the symmetric-basis bridge: floating-point operation order pinned
     (("twist", "--dim", "4", "--beta1", "7/2", "--basis", "symmetric",
       "--at-q", "0.7"),

@@ -1,5 +1,6 @@
 """Hypothesis properties of Q(x): ring axioms, exact quotients, the hash/eq
-contract with int and Fraction, and faithful, round-tripping JSON.
+contract with int and Fraction, faithful, round-tripping JSON, and the
+multiply-accumulate kernel behind matrix products against a naive sum.
 
 Elements mix integer, half-integer and 1/3 coefficients on exponent strides
 1, 4 and 8, the shapes the integer storage and the stride-compressed gcd
@@ -10,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from qweyl.qring import ONE, ZERO, X, LaurentPoly, RingElem
+from qweyl.qring import ONE, ZERO, X, LaurentPoly, RingElem, dot
+from qweyl.repn import QMatrix
 
 from json_decode import elem_from_json, through_text
 
@@ -97,3 +99,75 @@ def test_json_is_faithful(a, s, dn, dd):
 @given(elems())
 def test_json_round_trip(a):
     assert elem_from_json(through_text(a.to_json())) == a
+
+
+# matrix entries: zero, polynomials (the kernel's accumulation) and rational
+# functions (its fallback through the ring operators)
+entries = st.one_of(st.just(ZERO), st.builds(RingElem, polys()), elems())
+
+
+def naive_sum(products):
+    """The independent oracle: RingElem * and + one product at a time."""
+    total = ZERO
+    for a, b in products:
+        total = total + a * b
+    return total
+
+
+def naive_product(a, b):
+    return tuple(tuple(naive_sum((a[i, k], b[k, j]) for k in range(a.cols))
+                       for j in range(b.cols)) for i in range(a.rows))
+
+
+@st.composite
+def products(draw):
+    n, m, p = (draw(st.integers(1, 4)) for _ in range(3))
+    a = [[draw(entries) for _ in range(m)] for _ in range(n)]
+    b = [[draw(entries) for _ in range(p)] for _ in range(m)]
+    a[draw(st.integers(0, n - 1))] = [ZERO] * m
+    zero_col = draw(st.integers(0, p - 1))
+    for row in b:
+        row[zero_col] = ZERO
+    return QMatrix(a), QMatrix(b)
+
+
+def assert_canonical_zero(e):
+    assert e == ZERO and e.is_zero and e.den.is_one
+
+
+@settings
+@given(st.lists(st.tuples(entries, entries), max_size=6))
+def test_dot_matches_naive_sum(pairs):
+    assert dot(pairs) == naive_sum(pairs)
+    # the same products with their negations sum to exactly zero
+    assert_canonical_zero(dot(pairs + [(-a, b) for a, b in pairs]))
+
+
+@settings
+@given(products())
+def test_matrix_product_matches_naive_loop(ab):
+    a, b = ab
+    product = a * b
+    assert product.entries == naive_product(a, b)
+    for row in product.entries:
+        for e in row:
+            if not e:
+                assert_canonical_zero(e)
+    # [A | A] times [B ; -B]: every entry is a sum that cancels exactly
+    doubled = QMatrix([ra + ra for ra in a.entries])
+    stacked = QMatrix(b.entries + (-b).entries)
+    for row in (doubled * stacked).entries:
+        for e in row:
+            assert_canonical_zero(e)
+
+
+def test_entry_mixing_denominators_two_and_three():
+    a = QMatrix([[X / 2 + 1, X * X / 3]])
+    b = QMatrix([[X - Fraction(1, 2)], [1 + X / 3]])
+    expected = RingElem(LaurentPoly({3: Fraction(1, 9), 2: Fraction(5, 6),
+                                     1: Fraction(3, 4), 0: Fraction(-1, 2)}))
+    assert (a * b)[0, 0] == expected
+    # and a sum over denominators 2, 3 and 6 that cancels to zero
+    c = QMatrix([[X / 2, X / 3, X]])
+    d = QMatrix([[ONE], [ONE], [RingElem.from_rational(Fraction(-5, 6))]])
+    assert_canonical_zero((c * d)[0, 0])
