@@ -24,9 +24,12 @@ complex matrices: 16 MiB each at 1024 rows."""
 
 
 def max_exact_dim():
-    """Row-count ceiling for exact bundles; override with QW_MAX_EXACT_DIM."""
-    value = os.environ.get("QW_MAX_EXACT_DIM")
-    return int(value) if value else DEFAULT_MAX_EXACT_DIM
+    """Row-count ceiling for exact bundles; override with QW_MAX_EXACT_DIM,
+    a positive integer."""
+    value = os.environ.get("QW_MAX_EXACT_DIM") or str(DEFAULT_MAX_EXACT_DIM)
+    if not (value.isascii() and value.isdigit() and int(value) >= 1):
+        raise ValueError("QW_MAX_EXACT_DIM must be a positive integer, got %r" % value)
+    return int(value)
 
 
 def check_exact_rows(rows, what):
@@ -87,13 +90,9 @@ def zbn_generators(d, n, config):
     legs (i, i+1).  Exact mode refuses bundles above the size ceiling."""
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
-    ceiling = max_exact_dim()
     # the strand count is tested first, so that d ** n stays small
-    if n > ceiling or d ** n > ceiling:
-        raise ValueError(
-            "exact bundle V%d^(x%d) exceeds the ceiling of %d rows or strands "
-            "(set QW_MAX_EXACT_DIM to raise it, or evaluate numerically)"
-            % (d, n, ceiling))
+    check_exact_rows(n, "a bundle on %d strands" % n)
+    check_exact_rows(d ** n, "the bundle V%d^(x%d)" % (d, n))
     b = braid_matrix(d)
     gens = [embed(twist_t(d, config), right=d ** (n - 1))]
     gens += [embed(b, left=d ** (i - 1), right=d ** (n - i - 1)) for i in range(1, n)]

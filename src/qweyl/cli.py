@@ -133,6 +133,10 @@ def _print_report(report, out):
 
 
 def _config(args):
+    # Fraction() expands a power of ten in full: 1e10000000 takes seconds
+    if args.alpha is not None and "e" in args.alpha.lower():
+        raise ValueError("--alpha %s: write the half-integer as a fraction such "
+                         "as 1/2 or -3/2, without an exponent" % args.alpha)
     alpha = None if args.alpha is None else Fraction(args.alpha)
     return TwistConfig(beta1=parse_ring_elem(args.beta1), variant=args.variant,
                        alpha=alpha)

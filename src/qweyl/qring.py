@@ -9,7 +9,6 @@ floating point except the explicit `evaluate` bridge.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -181,23 +180,9 @@ class LaurentPoly:
     def _plus(self, other, sign):
         # self + sign * other over the common denominator
         da, db = self.denom, other.denom
-        if da == db:
-            ma, mb = 1, sign
-        else:
-            g = math.gcd(da, db)
-            ma, mb = db // g, sign * (da // g)
-        out = dict(self.terms) if ma == 1 else {e: c * ma for e, c in self.terms.items()}
-        for e, c in other.terms.items():
-            c *= mb
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s += c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+        g = math.gcd(da, db)
+        ma, mb = db // g, sign * (da // g)
+        out = _mul_add(_mul_add({}, {0: ma}, self.terms), {0: mb}, other.terms)
         return LaurentPoly._reduced(out, da * ma)
 
     def __add__(self, other):
@@ -429,8 +414,6 @@ class RingElem:
             return NotImplemented
         if self.den.is_one and other.den.is_one:
             return RingElem._raw(self.num._plus(other.num, sign), _P_ONE)
-        if self.den == other.den:
-            return _make(self.num._plus(other.num, sign), self.den)
         return _make((self.num * other.den)._plus(other.num * self.den, sign),
                      self.den * other.den)
 
@@ -645,23 +628,13 @@ def q_int(n):
         LaurentPoly._raw({4 * (n - 1 - 2 * i): 1 for i in range(n)}), _P_ONE)
 
 
-_FACT_CACHE = [ONE]
-_FACT_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def q_factorial(n):
     """Quantum factorial [n]! = [1][2]...[n]."""
     n = int(n)
     if n < 0:
         raise ValueError("q_factorial of negative %d" % n)
-    if n >= len(_FACT_CACHE):
-        # entries are appended only once computed, so reading below the
-        # length needs no lock
-        with _FACT_LOCK:
-            while len(_FACT_CACHE) <= n:
-                k = len(_FACT_CACHE)
-                _FACT_CACHE.append(_FACT_CACHE[k - 1] * q_int(k))
-    return _FACT_CACHE[n]
+    return q_factorial(n - 1) * q_int(n) if n else ONE
 
 
 Q_BINOMIAL_CACHE_SIZE = 1024

@@ -260,8 +260,7 @@ def embed(m, left=1, right=1):
     return m
 
 
-def kron(a, b):
-    return a.kron(b)
+kron = QMatrix.kron
 
 
 def flip(da, db):

@@ -38,10 +38,9 @@ class Report:
 
 def matrix_check(name, lhs, rhs):
     """Check exact equality of two matrices, reporting the first mismatch."""
-    diff = lhs.first_difference(rhs)
-    if diff is None:
+    if lhs == rhs:
         return Check(name=name, ok=True)
-    i, j, a, b = diff
+    i, j, a, b = lhs.first_difference(rhs)
     return Check(name=name, ok=False,
                  detail="entry (%d,%d): %s != %s" % (i + 1, j + 1, a, b))
 

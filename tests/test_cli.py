@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -185,6 +186,21 @@ class TestUsageErrors:
                           "--variant", "k_conjugate", "--alpha", "1/3")
         assert code == 2
 
+    def test_alpha_in_exponent_notation(self, capsys):
+        # 1E2 = 100 is a half-integer, refused for its notation alone
+        code, out = run_cli("twist", "--dim", "2", "--variant", "k_conjugate",
+                            "--alpha", "1E2")
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: --alpha 1E2:") and "exponent" in err
+
+    @pytest.mark.parametrize("alpha", ["1/2", "-1/2", "3/2", "1"])
+    def test_half_integer_alpha_accepted(self, alpha):
+        code, out = run_cli("twist", "--dim", "3", "--beta1", "1",
+                            "--variant", "k_conjugate", "--alpha=" + alpha)
+        config = TwistConfig(beta1=ONE, variant="k_conjugate", alpha=Fraction(alpha))
+        assert code == 0 and out == str(twist_t(3, config)) + "\n"
+
     def test_missing_subcommand(self):
         code, _ = run_cli()
         assert code == 2
@@ -255,6 +271,9 @@ class TestSizeLimits:
         ("zbn", "--dim", "2", "--strands", "1000000000", "--word", "0",
          "--at-q", "0.7"),
         ("zbn", "--dim", "2", "--strands", "0", "--word", "", "--at-q", "0.7"),
+        # exponent notation, refused before Fraction() expands the power of ten
+        ("twist", "--dim", "2", "--variant", "k_conjugate", "--alpha", "1e10000000"),
+        ("verify", "four-braid", "--variant", "k_conjugate", "--alpha", "1e10000000"),
     ]
 
     @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
@@ -275,6 +294,21 @@ class TestSizeLimits:
         assert run_cli("verify", "four-braid", "--max-dim", "3")[0] == 2
         assert run_cli("rmatrix", "--dims", "2,4")[0] == 0
         assert run_cli("twist", "--dim", "8")[0] == 0
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_bad_ceiling_names_the_variable(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("QW_MAX_EXACT_DIM", value)
+        for argv in (("rmatrix", "--dims", "2,2"), ("verify", "zbn")):
+            code, out = run_cli(*argv)
+            err = capsys.readouterr().err
+            assert code == 2 and out == ""
+            assert err.startswith("error: QW_MAX_EXACT_DIM must be a positive integer")
+            assert repr(value) in err
+
+    def test_smallest_ceiling_accepted(self, monkeypatch):
+        monkeypatch.setenv("QW_MAX_EXACT_DIM", "1")
+        assert run_cli("twist", "--dim", "1")[0] == 0
+        assert run_cli("twist", "--dim", "2")[0] == 2
 
     def test_limits_admit_the_sizes_in_use(self):
         # the largest sizes the benchmark and the tests ask for

@@ -397,16 +397,15 @@ class TestQCombinatorics:
         assert q_factorial(3) == q_int(2) * q_int(3)
 
     def test_factorial_table_fill_is_thread_safe(self):
-        # four threads fill an emptied table at once; a lost check-then-append
-        # race stores a factorial at the wrong index
+        # four threads fill an emptied memo at once; a lost race must never
+        # store a factorial under the wrong index
         expected = [ONE]
         for k in range(1, 26):
             expected.append(expected[-1] * q_int(k))
-        saved_table = qring._FACT_CACHE[:]
         saved_interval = sys.getswitchinterval()
         try:
             for _ in range(5):
-                del qring._FACT_CACHE[1:]
+                q_factorial.cache_clear()
                 sys.setswitchinterval(1e-6)
                 threads = [threading.Thread(target=q_factorial, args=(25,))
                            for _ in range(4)]
@@ -416,10 +415,21 @@ class TestQCombinatorics:
                     t.join(timeout=60)
                 sys.setswitchinterval(saved_interval)
                 assert not any(t.is_alive() for t in threads)
-                assert qring._FACT_CACHE == expected
+                assert [q_factorial(k) for k in range(26)] == expected
         finally:
             sys.setswitchinterval(saved_interval)
-            qring._FACT_CACHE[:] = saved_table
+
+    def test_factorial_fills_to_the_row_ceiling_from_empty(self, monkeypatch):
+        # 255 = d - 1 for the largest twist the 256-row ceiling admits.  The
+        # memo recurses once per missing index; [255]! itself takes minutes
+        # to multiply out, so [k] is stood in for by x^k, and the product
+        # of the recursion is then x^(255*256/2)
+        monkeypatch.setattr(qring, "q_int", x_pow)
+        q_factorial.cache_clear()
+        try:
+            assert q_factorial(255) == x_pow(255 * 256 // 2)
+        finally:
+            q_factorial.cache_clear()
 
     def test_binomial_values(self):
         assert q_binomial(2, 1) == q_int(2)
