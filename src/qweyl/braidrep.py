@@ -1,15 +1,15 @@
 """Tensor representations of the type-B braid group on n strands.
 
-The generator acting on the first tensor factor is the cylinder-twist
-matrix; the remaining generators are the braid matrix on adjacent factors.
-The module builds the generator bundle, checks all defining relations
-exactly, and evaluates arbitrary braid words.
+A bundle keeps the two factors of its generators, the cylinder twist and
+the braid matrix; the module checks all defining relations exactly and
+evaluates arbitrary braid words.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .repn import QMatrix, embed
 from .reports import Report, labels_check, matrix_check, matrix_report
@@ -74,29 +74,38 @@ class BraidWord:
 
 @dataclass(frozen=True)
 class RepBundle:
-    """Generator matrices of the type-B braid group on V_d^(x n)."""
+    """The type-B braid group on V_d^(x n), kept as its two factors."""
 
     d: int
     n: int
-    generators: tuple
+    twist: QMatrix
+    braid: QMatrix
 
-    @property
-    def dim(self):
-        return self.d ** self.n
+    @cached_property
+    def inverse(self):
+        """The bundle of the inverse factors, whose tau_i is this tau_i^-1."""
+        return RepBundle(self.d, self.n, self.twist.inverse(), self.braid.inverse())
+
+    def leg(self, i):
+        """tau_i as (left, factor, right), for 1_left (x) factor (x) 1_right:
+        the twist t on leg 0, the braid matrix on legs (i, i+1)."""
+        left, factor = (1, self.twist) if i == 0 else (self.d ** (i - 1), self.braid)
+        return left, factor, self.d ** self.n // (left * factor.rows)
+
+    def generator(self, i, exp=1):
+        """tau_i^exp as an exact matrix; an inverse inverts only the factor."""
+        left, factor, right = (self if exp == 1 else self.inverse).leg(i)
+        return embed(factor, left, right)
 
 
 def zbn_generators(d, n, config):
-    """The bundle with tau_0 = t (x) 1...1 and tau_i the braid matrix on
-    legs (i, i+1).  Exact mode refuses bundles above the size ceiling."""
+    """The bundle on V_d^(x n), refused above the exact-mode row ceiling."""
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
     # the strand count is tested first, so that d ** n stays small
     check_exact_rows(n, "a bundle on %d strands" % n)
     check_exact_rows(d ** n, "the bundle V%d^(x%d)" % (d, n))
-    b = braid_matrix(d)
-    gens = [embed(twist_t(d, config), right=d ** (n - 1))]
-    gens += [embed(b, left=d ** (i - 1), right=d ** (n - i - 1)) for i in range(1, n)]
-    return RepBundle(d=d, n=n, generators=tuple(gens))
+    return RepBundle(d, n, twist_t(d, config), braid_matrix(d))
 
 
 def zbn_generators_numeric(d, n, q0, config):
@@ -108,18 +117,13 @@ def zbn_generators_numeric(d, n, q0, config):
                          "at most %d rows" % (d, n, MAX_NUMERIC_DIM, MAX_NUMERIC_DIM))
     import numpy as np
 
-    def eye(k):
-        return np.eye(d ** k, dtype=complex)
-
-    b = braid_matrix(d).evaluate(q0)
-    gens = [np.kron(twist_t(d, config).evaluate(q0), eye(n - 1))]
-    gens += [np.kron(np.kron(eye(i - 1), b), eye(n - i - 1)) for i in range(1, n)]
-    return gens
+    bundle = RepBundle(d, n, twist_t(d, config), braid_matrix(d))
+    return [np.kron(np.kron(np.eye(left), factor.evaluate(q0)), np.eye(right))
+            for left, factor, right in map(bundle.leg, range(n))]
 
 
-def relation_report(bundle):
-    """Exact check of the four defining relation families on a bundle."""
-    g, n = bundle.generators, bundle.n
+def relation_report(d, n, g):
+    """Exact check of the four relation families on the generators g of V_d^(x n)."""
     checks = [
         labels_check("far commutation among braid generators",
                      (("(%d,%d)" % (i, j), g[i] * g[j], g[j] * g[i])
@@ -133,29 +137,24 @@ def relation_report(bundle):
     checks.append(labels_check("cylinder generator commutes with distant braids",
                                (("i=%d" % i, g[0] * g[i], g[i] * g[0])
                                 for i in range(2, n))))
-    return Report(title="type-B relations d=%d n=%d" % (bundle.d, bundle.n),
-                  checks=tuple(checks))
+    return Report(title="type-B relations d=%d n=%d" % (d, n), checks=tuple(checks))
 
 
 def verify_zbn_relations(d, n, config):
     if n < 2:
         raise ValueError("relation suite needs at least 2 strands")
-    return relation_report(zbn_generators(d, n, config))
+    bundle = zbn_generators(d, n, config)
+    return relation_report(d, n, [bundle.generator(i) for i in range(n)])
 
 
 def eval_braid_word(word, bundle):
-    """Ordered product of the word's generator matrices; empty word gives
-    the identity."""
+    """The ordered product of the word's generators; the identity if empty."""
     if word.n != bundle.n:
         raise ValueError("word on %d strands does not fit a bundle on %d"
                          % (word.n, bundle.n))
-    gens = bundle.generators
-    # each distinct inverted generator is inverted once
-    inverses = {idx: gens[idx].inverse()
-                for idx in {idx for idx, exp in word.letters if exp == -1}}
-    result = QMatrix.identity(bundle.dim)
+    result = QMatrix.identity(bundle.d ** bundle.n)
     for idx, exp in word.letters:
-        result = result * (gens[idx] if exp == 1 else inverses[idx])
+        result = result * bundle.generator(idx, exp)
     return result
 
 

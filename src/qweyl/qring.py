@@ -178,12 +178,12 @@ class LaurentPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def _plus(self, other, sign):
-        # self + sign * other over the common denominator
+        # self + sign * other over the common denominator, merged into a copy
         da, db = self.denom, other.denom
         g = math.gcd(da, db)
         ma, mb = db // g, sign * (da // g)
-        out = _mul_add(_mul_add({}, {0: ma}, self.terms), {0: mb}, other.terms)
-        return LaurentPoly._reduced(out, da * ma)
+        out = dict(self.terms) if ma == 1 else {e: c * ma for e, c in self.terms.items()}
+        return LaurentPoly._reduced(_mul_add(out, {0: mb}, other.terms), da * ma)
 
     def __add__(self, other):
         return self._plus(other, 1)

@@ -50,3 +50,11 @@ def test_traced_worker_counts_memoized_q_binomial():
     # under another name would leave the counter at zero
     counts = _traced_counts("verify", "bform", "--max-sum", "3")
     assert counts.get("qbinom_calls", 0) > 0
+
+
+def test_traced_worker_counts_a_word_with_inverse_letters():
+    # the bundle job's word path: generators and factor inverses built from
+    # the bundle's two factors
+    counts = _traced_counts("zbn", "--dim", "2", "--strands", "3", "--beta1", "7/2",
+                            "--word", "0 1' 2 0' 1", "--format", "json")
+    assert counts["poly_mul"] > 0

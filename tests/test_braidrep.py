@@ -7,7 +7,6 @@ import pytest
 from qweyl import braidrep
 from qweyl.braidrep import (
     BraidWord,
-    RepBundle,
     eval_braid_word,
     relation_report,
     verify_affine_relation,
@@ -15,7 +14,7 @@ from qweyl.braidrep import (
     zbn_generators,
     zbn_generators_numeric,
 )
-from qweyl.qring import ONE, RingElem
+from qweyl.qring import ONE, RingElem, parse_ring_elem
 from qweyl.repn import QMatrix, kron
 from qweyl.rmat import braid_matrix
 from qweyl.twist import TwistConfig, braid_form_sides, four_braid_sides, twist_t
@@ -25,22 +24,35 @@ B1 = ONE
 CFG1 = TwistConfig(beta1=B1)
 
 
+def generators(bundle):
+    """The bundle's generators tau_0 .. tau_{n-1} as exact matrices."""
+    return [bundle.generator(i) for i in range(bundle.n)]
+
+
 class TestBundle:
     def test_trivial_rep(self):
         bundle = zbn_generators(1, 3, CFG1)
-        for g in bundle.generators:
+        for g in generators(bundle):
             assert g == QMatrix.identity(1)
 
     def test_two_strand_layout(self):
         bundle = zbn_generators(2, 2, CFG1)
-        assert bundle.generators[0] == kron(twist_t(2, CFG1), QMatrix.identity(2))
-        assert bundle.generators[1] == braid_matrix(2)
+        assert bundle.generator(0) == kron(twist_t(2, CFG1), QMatrix.identity(2))
+        assert bundle.generator(1) == braid_matrix(2)
 
     def test_three_strand_sizes(self):
         bundle = zbn_generators(2, 3, CFG1)
-        assert len(bundle.generators) == 3
-        for g in bundle.generators:
+        assert len(generators(bundle)) == 3
+        for g in generators(bundle):
             assert g.rows == g.cols == 8
+
+    def test_legs(self):
+        # tau_0 = t (x) 1 on leg 0, tau_i = 1 (x) B (x) 1 on legs (i, i+1)
+        bundle = zbn_generators(3, 4, CFG1)
+        assert bundle.leg(0) == (1, bundle.twist, 27)
+        assert bundle.leg(1) == (1, bundle.braid, 9)
+        assert bundle.leg(2) == (3, bundle.braid, 3)
+        assert bundle.leg(3) == (9, bundle.braid, 1)
 
     def test_guardrail(self, monkeypatch):
         monkeypatch.setenv("QW_MAX_EXACT_DIM", "8")
@@ -76,15 +88,13 @@ class TestRelations:
             verify_zbn_relations(2, 1, CFG1)
 
     def test_tampered_cylinder_generator_fails(self):
-        bundle = zbn_generators(2, 3, CFG1)
+        gens = generators(zbn_generators(2, 3, CFG1))
         t = twist_t(2, CFG1)
         rows = [list(r) for r in t.entries]
         rows[1][1] = rows[1][1] + ONE
         bad_t = QMatrix(rows)
         bad_g0 = kron(kron(bad_t, QMatrix.identity(2)), QMatrix.identity(2))
-        tampered = RepBundle(d=2, n=3,
-                             generators=(bad_g0,) + bundle.generators[1:])
-        rep = relation_report(tampered)
+        rep = relation_report(2, 3, [bad_g0] + gens[1:])
         assert not rep.ok
         failed = {c.name for c in rep.checks if not c.ok}
         assert "type-B relation with the cylinder generator" in failed
@@ -106,9 +116,9 @@ class TestRelations:
     @pytest.mark.parametrize("n,i,j,expected", TAMPERED,
                              ids=["n%d-tau%d-tau%d" % t[:3] for t in TAMPERED])
     def test_tampered_generator_fail_lines(self, n, i, j, expected):
-        gens = list(zbn_generators(2, n, CFG1).generators)
+        gens = generators(zbn_generators(2, n, CFG1))
         gens[i] = gens[i] * gens[j]
-        rep = relation_report(RepBundle(d=2, n=n, generators=tuple(gens)))
+        rep = relation_report(2, n, gens)
         assert [line for line in rep.lines() if line.startswith("FAIL")] == expected
 
 
@@ -168,6 +178,42 @@ class TestWords:
             eval_braid_word(BraidWord(n=3, letters=()), bundle)
 
 
+class TestFactorInverses:
+    # (d, n) bundles and beta1 values of the inverse oracle
+    SHAPES = [(2, 3), (3, 3), (2, 4)]
+    BETAS = ["0", "1", "7/2", "x^4+1"]
+
+    @pytest.mark.parametrize("beta1", BETAS)
+    @pytest.mark.parametrize("d,n", SHAPES, ids=["V%d^(x%d)" % s for s in SHAPES])
+    def test_generator_inverses(self, d, n, beta1):
+        bundle = zbn_generators(d, n, TwistConfig(beta1=parse_ring_elem(beta1)))
+        one = QMatrix.identity(d ** n)
+        for i in range(n):
+            g, g_inv = bundle.generator(i), bundle.generator(i, -1)
+            assert g * g_inv == one
+            assert g_inv * g == one
+            # reference: Gauss-Jordan on the whole generator
+            assert g_inv == g.inverse()
+
+    def test_word_inverts_each_factor_once(self, monkeypatch):
+        bundle = zbn_generators(3, 4, TwistConfig(beta1=parse_ring_elem("7/2")))
+        inverted = []
+        inverse = QMatrix.inverse
+
+        def spy(m):
+            inverted.append(m)
+            return inverse(m)
+
+        monkeypatch.setattr(QMatrix, "inverse", spy)
+        # every generator is inverted somewhere in the word
+        word = BraidWord.parse("0 1 2' 3 0' 1' 2 3'", 4)
+        product = eval_braid_word(word, bundle)
+        assert product.rows == 81
+        assert max(m.rows for m in inverted) <= 9
+        assert sorted(id(m) for m in inverted) == sorted((id(bundle.twist),
+                                                          id(bundle.braid)))
+
+
 class TestAffine:
     def test_small_dimensions(self):
         assert verify_affine_relation(1, B1).ok
@@ -197,7 +243,7 @@ class TestNumericBundle:
     def test_matches_exact_evaluation(self):
         exact = zbn_generators(2, 3, CFG1)
         numeric = zbn_generators_numeric(2, 3, 0.7, CFG1)
-        for g_exact, g_num in zip(exact.generators, numeric):
+        for g_exact, g_num in zip(generators(exact), numeric):
             assert np.max(np.abs(g_exact.evaluate(0.7) - g_num)) < 1e-12
 
     def test_not_subject_to_ceiling(self, monkeypatch):

@@ -6,11 +6,14 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from json_decode import matrix_from_json
 
 from qweyl import cli
-from qweyl.braidrep import max_exact_dim
+from qweyl.braidrep import RepBundle, max_exact_dim
 from qweyl.qring import ONE, RingElem
+from qweyl.repn import QMatrix
 from qweyl.reports import Check, Report
 from qweyl.twist import TwistConfig, beta_coeffs, twist_t
 
@@ -125,6 +128,47 @@ class TestOtherCommands:
         assert code == 0
         lines = out.splitlines()
         assert lines[0].startswith("[1,")
+
+
+class TestWordOracle:
+    """The exact word against the `--at-q` path, which inverts the full
+    numeric generators with numpy, on the benchmark's word shape."""
+
+    ARGV = ("zbn", "--dim", "3", "--strands", "4", "--word", "0 1 2' 3 0' 1' 2 3'")
+
+    def worst_error(self, beta1):
+        """Largest entry difference relative to the numeric matrix, as in
+        the benchmark's word gate, over q0 = 0.7 and 1.3."""
+        code, out = run_cli(*self.ARGV, "--beta1", beta1, "--format", "json")
+        assert code == 0
+        exact = matrix_from_json(json.loads(out))
+        worst = 0.0
+        for q0 in (0.7, 1.3):
+            code, out = run_cli(*self.ARGV, "--beta1", beta1, "--at-q", repr(q0),
+                                "--format", "json")
+            assert code == 0
+            ref = np.array([[complex(re, im) for re, im in row]
+                            for row in json.loads(out)["entries"]])
+            err = np.max(np.abs(exact.evaluate(q0) - ref))
+            worst = max(worst, err / max(1.0, np.max(np.abs(ref))))
+        return worst
+
+    @pytest.mark.parametrize("beta1", ["0", "7/2"])
+    def test_exact_word_matches_numeric_path(self, beta1):
+        assert self.worst_error(beta1) <= 1e-8
+
+    def test_tampered_factor_inverse_fails(self, monkeypatch):
+        # negative twin: one entry of the exact braid-matrix inverse moved by 1
+        inverse = RepBundle.inverse.func
+
+        def tampered(bundle):
+            good = inverse(bundle)
+            rows = [list(r) for r in good.braid.entries]
+            rows[1][1] = rows[1][1] + ONE
+            return RepBundle(good.d, good.n, good.twist, QMatrix(rows))
+
+        monkeypatch.setattr(RepBundle, "inverse", property(tampered))
+        assert self.worst_error("7/2") > 1e-8
 
 
 class TestVerifyCommand:
