@@ -7,8 +7,7 @@ evaluates arbitrary braid words.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .repn import QMatrix, embed
@@ -16,46 +15,40 @@ from .reports import Report, labels_check, matrix_check, matrix_report
 from .rmat import braid_matrix
 from .twist import TwistConfig, braid_form_sides, twist_t
 
-DEFAULT_MAX_EXACT_DIM = 256
+MAX_EXACT_DIM = 256
+"""Row ceiling for exact work; raise it only with a recorded timing."""
 
 MAX_NUMERIC_DIM = 1024
 """Row and strand ceiling for numeric bundles, whose generators are dense
 complex matrices: 16 MiB each at 1024 rows."""
 
 
-def max_exact_dim():
-    """Row-count ceiling for exact bundles; override with QW_MAX_EXACT_DIM,
-    a positive integer."""
-    value = os.environ.get("QW_MAX_EXACT_DIM") or str(DEFAULT_MAX_EXACT_DIM)
-    if not (value.isascii() and value.isdigit() and int(value) >= 1):
-        raise ValueError("QW_MAX_EXACT_DIM must be a positive integer, got %r" % value)
-    return int(value)
-
-
 def check_exact_rows(rows, what):
-    """Refuse exact work whose largest matrix has more than max_exact_dim()
+    """Refuse exact work whose largest matrix has more than MAX_EXACT_DIM
     rows; `what` names the input that asked for it."""
-    ceiling = max_exact_dim()
-    if rows > ceiling:
-        raise ValueError(
-            "%s needs an exact matrix of %d rows, above the ceiling %d "
-            "(set QW_MAX_EXACT_DIM to raise it)" % (what, rows, ceiling))
+    if rows > MAX_EXACT_DIM:
+        raise ValueError("%s needs an exact matrix of %d rows, above the ceiling %d"
+                         % (what, rows, MAX_EXACT_DIM))
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(namedtuple("BraidWord", "n letters")):
     """A word in the generators tau_0 .. tau_{n-1} with exponents +-1."""
 
-    n: int
-    letters: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for idx, exp in self.letters:
-            if not 0 <= idx < self.n:
+    def __new__(cls, n, letters):
+        for idx, exp in letters:
+            if not 0 <= idx < n:
                 raise ValueError("generator index %d out of range for %d strands"
-                                 % (idx, self.n))
+                                 % (idx, n))
             if exp not in (1, -1):
                 raise ValueError("exponent must be +1 or -1, got %r" % (exp,))
+        return super().__new__(cls, n, letters)
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through __new__, so that `_replace` validates too."""
+        return cls(*fields)
 
     @classmethod
     def parse(cls, text, n):
@@ -72,14 +65,10 @@ class BraidWord:
         return cls(n=n, letters=tuple(letters))
 
 
-@dataclass(frozen=True)
-class RepBundle:
+class RepBundle(namedtuple("RepBundle", "d n twist braid")):
     """The type-B braid group on V_d^(x n), kept as its two factors."""
 
-    d: int
-    n: int
-    twist: QMatrix
-    braid: QMatrix
+    # no __slots__: cached_property keeps `inverse` in the instance __dict__
 
     @cached_property
     def inverse(self):
@@ -98,6 +87,13 @@ class RepBundle:
         return embed(factor, left, right)
 
 
+def _factors(d, n, config):
+    """The bundle's two factors, t on V_d and B on V_d (x) V_d, refused when
+    B has more than MAX_EXACT_DIM rows."""
+    check_exact_rows(d * d, "the braid matrix on V%d (x) V%d" % (d, d))
+    return RepBundle(d, n, twist_t(d, config), braid_matrix(d))
+
+
 def zbn_generators(d, n, config):
     """The bundle on V_d^(x n), refused above the exact-mode row ceiling."""
     if d < 1 or n < 1:
@@ -105,19 +101,20 @@ def zbn_generators(d, n, config):
     # the strand count is tested first, so that d ** n stays small
     check_exact_rows(n, "a bundle on %d strands" % n)
     check_exact_rows(d ** n, "the bundle V%d^(x%d)" % (d, n))
-    return RepBundle(d, n, twist_t(d, config), braid_matrix(d))
+    return _factors(d, n, config)
 
 
 def zbn_generators_numeric(d, n, q0, config):
     """Generator matrices evaluated at q = q0, as numpy arrays.  Refuses
-    bundles above MAX_NUMERIC_DIM rows, not the exact-mode ceiling."""
+    bundles above MAX_NUMERIC_DIM rows; the exact factors they are evaluated
+    from keep the exact-mode ceiling."""
     # the strand count is tested first, so that d ** n stays small
     if not 1 <= n <= MAX_NUMERIC_DIM or d ** n > MAX_NUMERIC_DIM:
         raise ValueError("numeric bundle V%d^(x%d) needs 1 to %d strands and "
                          "at most %d rows" % (d, n, MAX_NUMERIC_DIM, MAX_NUMERIC_DIM))
+    bundle = _factors(d, n, config)
     import numpy as np
 
-    bundle = RepBundle(d, n, twist_t(d, config), braid_matrix(d))
     return [np.kron(np.kron(np.eye(left), factor.evaluate(q0)), np.eye(right))
             for left, factor, right in map(bundle.leg, range(n))]
 

@@ -43,9 +43,10 @@ from .twist import (
 )
 
 MAX_COEFF_INDEX = 16
-"""Largest coefficient index that `coeffs --count` and `verify --max-sum`
-accept.  The tables grow fast: beta_coeffs(16, x^4) takes about 0.34 s on
-a 2-vCPU host (Python 3.11.7), and each further index adds about 40%."""
+"""Largest coefficient index that `coeffs --count`, `verify --max-sum` and
+`twist --dim` (index d - 1) accept.  The tables grow fast: beta_coeffs(16,
+x^4) takes about 0.34 s on a 2-vCPU host (Python 3.11.7), and each further
+index adds about 40%."""
 
 
 def _check_coeff_index(n, option):
@@ -226,6 +227,9 @@ def _cmd_rmatrix(args, out):
 
 def _cmd_twist(args, out):
     check_exact_rows(args.dim, "--dim %d" % args.dim)
+    if args.dim - 1 > MAX_COEFF_INDEX:
+        raise ValueError("--dim %d needs the coefficient index %d, above the limit %d"
+                         % (args.dim, args.dim - 1, MAX_COEFF_INDEX))
     config = _config(args)
     if args.basis == "symmetric":
         if args.at_q is None:
@@ -264,9 +268,6 @@ def _cmd_zbn(args, out):
         return 0 if report.ok else 1
     word = BraidWord.parse(args.word, args.strands)
     if args.at_q is not None:
-        # the numeric bundle has its own row ceiling, but it evaluates the
-        # exact twist and braid matrix, of d and d^2 rows
-        check_exact_rows(args.dim ** 2, "--dim %d" % args.dim)
         import numpy as np
         gens = zbn_generators_numeric(args.dim, args.strands, args.at_q, config)
         inverses = {idx: np.linalg.inv(gens[idx])

@@ -8,7 +8,7 @@ basis every generator matrix lives over Q(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, reduce
 
 from .qring import ONE, ZERO, RingElem, as_elem, dot, q_int
@@ -193,18 +193,8 @@ class QMatrix:
         return "QMatrix(%dx%d)" % (self.rows, self.cols)
 
 
-@dataclass(frozen=True)
-class IrrepSpec:
-    """Generator matrices of the d-dimensional irreducible representation."""
-
-    weights: tuple
-    H: QMatrix
-    X: QMatrix
-    Y: QMatrix
-    E: QMatrix
-    F: QMatrix
-    K: QMatrix
-    Kinv: QMatrix
+# generator matrices of the d-dimensional irreducible representation
+IrrepSpec = namedtuple("IrrepSpec", "weights H X Y E F K Kinv")
 
 
 @lru_cache(maxsize=None)

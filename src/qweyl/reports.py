@@ -2,20 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+
+Check = namedtuple("Check", "name ok detail", defaults=("",))
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class Report:
-    title: str
-    checks: tuple
+class Report(namedtuple("Report", "title checks")):
+    __slots__ = ()
 
     @property
     def ok(self):

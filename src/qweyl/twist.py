@@ -15,7 +15,7 @@ entries involve square roots and therefore live outside Q(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,8 +44,7 @@ BRACKET_CACHE_SIZE = 2048
 --max-sum, cli.MAX_COEFF_INDEX = 16, asks for 791 distinct (a, b, n)."""
 
 
-@dataclass(frozen=True)
-class TwistConfig:
+class TwistConfig(namedtuple("TwistConfig", "beta1 variant alpha")):
     """Selects a member of the solution family.
 
     beta1 is the free coefficient; variant picks one of the known
@@ -53,34 +52,32 @@ class TwistConfig:
     K-conjugated variant, where it must keep K^alpha inside Q(x).
     """
 
-    beta1: RingElem
-    variant: str = "standard"
-    alpha: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta1", as_elem(self.beta1))
-        if self.variant not in VARIANTS:
+    def __new__(cls, beta1, variant="standard", alpha=None):
+        beta1 = as_elem(beta1)
+        if variant not in VARIANTS:
             raise ValueError("unknown variant %r (choose from %s)"
-                             % (self.variant, ", ".join(VARIANTS)))
-        if self.variant == "k_conjugate":
-            if self.alpha is None:
+                             % (variant, ", ".join(VARIANTS)))
+        if variant == "k_conjugate":
+            if alpha is None:
                 raise ValueError("k_conjugate needs an alpha")
-            alpha = Fraction(self.alpha)
+            alpha = Fraction(alpha)
             if (2 * alpha).denominator != 1:
                 raise ValueError("alpha must be a half-integer, got %s" % alpha)
-            object.__setattr__(self, "alpha", alpha)
-        elif self.alpha is not None:
+        elif alpha is not None:
             raise ValueError("alpha is only meaningful for the k_conjugate variant")
+        return super().__new__(cls, beta1, variant, alpha)
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through __new__, so that `_replace` validates too."""
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class CoeffTable:
-    """Twist coefficients beta_m, beta'_m = beta_m [m]! and inverse
-    coefficients alpha_m, indexed 0..N."""
-
-    betas: tuple
-    beta_primes: tuple
-    alphas: tuple
+# twist coefficients beta_m, beta'_m = beta_m [m]! and inverse coefficients
+# alpha_m, indexed 0..N
+CoeffTable = namedtuple("CoeffTable", "betas beta_primes alphas")
 
 
 @lru_cache(maxsize=BETA1_CACHE_SIZE)

@@ -55,11 +55,11 @@ class TestBundle:
         assert bundle.leg(3) == (9, bundle.braid, 1)
 
     def test_guardrail(self, monkeypatch):
-        monkeypatch.setenv("QW_MAX_EXACT_DIM", "8")
+        monkeypatch.setattr(braidrep, "MAX_EXACT_DIM", 8)
         zbn_generators(2, 3, CFG1)
         with pytest.raises(ValueError):
             zbn_generators(2, 4, CFG1)
-        monkeypatch.setenv("QW_MAX_EXACT_DIM", "16")
+        monkeypatch.setattr(braidrep, "MAX_EXACT_DIM", 16)
         zbn_generators(2, 4, CFG1)
 
     def test_input_validation(self):
@@ -247,6 +247,6 @@ class TestNumericBundle:
             assert np.max(np.abs(g_exact.evaluate(0.7) - g_num)) < 1e-12
 
     def test_not_subject_to_ceiling(self, monkeypatch):
-        monkeypatch.setenv("QW_MAX_EXACT_DIM", "4")
+        monkeypatch.setattr(braidrep, "MAX_EXACT_DIM", 4)
         gens = zbn_generators_numeric(2, 3, 0.7, CFG1)
         assert gens[0].shape == (8, 8)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from json_decode import matrix_from_json
 
-from qweyl import cli
-from qweyl.braidrep import RepBundle, max_exact_dim
+from qweyl import braidrep, cli
+from qweyl.braidrep import MAX_EXACT_DIM, RepBundle
 from qweyl.qring import ONE, RingElem
 from qweyl.repn import QMatrix
 from qweyl.reports import Check, Report
@@ -309,6 +309,11 @@ class TestSizeLimits:
         ("zbn", "--dim", "3", "--strands", "1000000000"),
         ("zbn", "--dim", "1", "--strands", "1000", "--word", "0"),
         ("zbn", "--dim", "5000", "--strands", "1", "--word", "0", "--at-q", "0.7"),
+        # a one-strand bundle of 17 rows whose braid matrix has 289
+        ("zbn", "--dim", "17", "--strands", "1", "--word", "0"),
+        # the twist on V_d needs the coefficient index d - 1
+        ("twist", "--dim", "18"),
+        ("twist", "--dim", "256", "--at-q", "0.7"),
         # numeric bundles: 2048 rows, a strand count tested before d ** n,
         # and no strands at all
         ("zbn", "--dim", "2", "--strands", "11", "--word", "0", "--at-q", "0.7"),
@@ -331,7 +336,7 @@ class TestSizeLimits:
         assert elapsed < 1.0
 
     def test_ceiling_override(self, monkeypatch, capsys):
-        monkeypatch.setenv("QW_MAX_EXACT_DIM", "8")
+        monkeypatch.setattr(braidrep, "MAX_EXACT_DIM", 8)
         assert run_cli("rmatrix", "--dims", "3,3")[0] == 2
         assert "9 rows, above the ceiling 8" in capsys.readouterr().err
         assert run_cli("twist", "--dim", "9")[0] == 2
@@ -339,26 +344,23 @@ class TestSizeLimits:
         assert run_cli("rmatrix", "--dims", "2,4")[0] == 0
         assert run_cli("twist", "--dim", "8")[0] == 0
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-    def test_bad_ceiling_names_the_variable(self, value, monkeypatch, capsys):
-        monkeypatch.setenv("QW_MAX_EXACT_DIM", value)
-        for argv in (("rmatrix", "--dims", "2,2"), ("verify", "zbn")):
-            code, out = run_cli(*argv)
-            err = capsys.readouterr().err
-            assert code == 2 and out == ""
-            assert err.startswith("error: QW_MAX_EXACT_DIM must be a positive integer")
-            assert repr(value) in err
-
     def test_smallest_ceiling_accepted(self, monkeypatch):
-        monkeypatch.setenv("QW_MAX_EXACT_DIM", "1")
+        monkeypatch.setattr(braidrep, "MAX_EXACT_DIM", 1)
         assert run_cli("twist", "--dim", "1")[0] == 0
         assert run_cli("twist", "--dim", "2")[0] == 2
 
     def test_limits_admit_the_sizes_in_use(self):
         # the largest sizes the benchmark and the tests ask for
         assert cli.MAX_COEFF_INDEX >= 13
-        assert max_exact_dim() >= 5 * 5
+        assert MAX_EXACT_DIM >= 5 * 5
         assert run_cli("coeffs", "--count", "2", "--beta1", "(1+x)^64")[0] == 0
+
+    def test_twist_at_the_coefficient_limit(self, capsys):
+        code, out = run_cli("twist", "--dim", "17")
+        assert code == 0 and out.count("\n") == 17
+        assert run_cli("twist", "--dim", "18")[0] == 2
+        err = capsys.readouterr().err
+        assert "--dim 18" in err and "limit 16" in err
 
     def test_smallest_sizes_accepted(self):
         code, out = run_cli("verify", "four-braid", "--max-dim", "1")
@@ -378,6 +380,16 @@ def _run_python(code):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+def test_cli_start_imports_no_dataclasses_or_inspect():
+    result = _run_python(
+        "import sys\n"
+        "import qweyl.cli\n"
+        "seen = ['dataclasses' in sys.modules, 'inspect' in sys.modules]\n"
+        "import json\n"
+        "print(json.dumps(seen))\n")
+    assert result == [False, False]
 
 
 class TestNumpyImport:

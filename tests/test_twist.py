@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -474,7 +473,7 @@ class TestNegativeTwins:
             table = true_table(n_max, b1)
             primes = list(table.beta_primes)
             primes[3] = primes[3] + ONE
-            return dataclasses.replace(table, beta_primes=tuple(primes))
+            return table._replace(beta_primes=tuple(primes))
 
         monkeypatch.setattr(twist, "beta_coeffs", tampered)
         rep = verify_bform(6, B1)
@@ -515,7 +514,7 @@ class TestNegativeTwins:
             table = true_table(n_max, b1)
             betas = list(table.betas)
             betas[4] = betas[4] + ONE
-            return dataclasses.replace(table, betas=tuple(betas))
+            return table._replace(betas=tuple(betas))
 
         monkeypatch.setattr(twist, "beta_coeffs", tampered)
         rep = verify_bform(6, B1)
