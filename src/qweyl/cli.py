@@ -48,6 +48,11 @@ MAX_COEFF_INDEX = 16
 x^4) takes about 0.34 s on a 2-vCPU host (Python 3.11.7), and each further
 index adds about 40%."""
 
+MAX_VERIFY_DIM = 7
+"""Largest `verify --max-dim`, a bound on time: `verify all --max-dim d
+--beta1 "x^4+1"` took 8.8 s at d = 6, 33.1 s at d = 7 and 99.3 s at d = 8
+on a 2-vCPU host (Python 3.11.7), single runs."""
+
 
 def _check_coeff_index(n, option):
     if n < 0:
@@ -133,14 +138,13 @@ def _print_report(report, out):
 # argument plumbing
 
 
-def _config(args):
+def _config(args, beta1):
     # Fraction() expands a power of ten in full: 1e10000000 takes seconds
     if args.alpha is not None and "e" in args.alpha.lower():
         raise ValueError("--alpha %s: write the half-integer as a fraction such "
                          "as 1/2 or -3/2, without an exponent" % args.alpha)
     alpha = None if args.alpha is None else Fraction(args.alpha)
-    return TwistConfig(beta1=parse_ring_elem(args.beta1), variant=args.variant,
-                       alpha=alpha)
+    return TwistConfig(beta1=beta1, variant=args.variant, alpha=alpha)
 
 
 def _build_parser():
@@ -178,12 +182,12 @@ def _build_parser():
     p.add_argument("--beta1", default="0", metavar="EXPR")
     p.add_argument("--format", choices=("json", "plain"), default="plain")
 
-    p = sub.add_parser("zbn", help="braid-group bundle: relation check or "
-                                   "word evaluation")
+    p = sub.add_parser("zbn", help="evaluate a braid word on a braid-group bundle "
+                                   "(relations: verify zbn)")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--strands", type=int, required=True)
     p.add_argument("--beta1", default="0", metavar="EXPR")
-    p.add_argument("--word", default=None,
+    p.add_argument("--word", required=True,
                    help="generator indices, apostrophe suffix for inverse")
     add_format(p)
 
@@ -230,7 +234,7 @@ def _cmd_twist(args, out):
     if args.dim - 1 > MAX_COEFF_INDEX:
         raise ValueError("--dim %d needs the coefficient index %d, above the limit %d"
                          % (args.dim, args.dim - 1, MAX_COEFF_INDEX))
-    config = _config(args)
+    config = _config(args, parse_ring_elem(args.beta1))
     if args.basis == "symmetric":
         if args.at_q is None:
             raise ValueError("--basis symmetric is numeric only; pass --at-q")
@@ -262,10 +266,6 @@ def _cmd_coeffs(args, out):
 
 def _cmd_zbn(args, out):
     config = TwistConfig(beta1=parse_ring_elem(args.beta1))
-    if args.word is None:
-        report = verify_zbn_relations(args.dim, args.strands, config)
-        _print_report(report, out)
-        return 0 if report.ok else 1
     word = BraidWord.parse(args.word, args.strands)
     if args.at_q is not None:
         import numpy as np
@@ -305,7 +305,7 @@ def _both(run):
 # (args, beta1) that look each verify_* up when called; `all` keeps this order
 _SUITES = {
     "four-braid": _both(lambda args, beta1:
-                        _pairs(verify_four_braid, args, _config(args))),
+                        _pairs(verify_four_braid, args, _config(args, beta1))),
     "zdelta": _both(lambda args, beta1: _pairs(verify_zdelta, args, beta1)),
     "bform": _both(lambda args, beta1: [verify_bform(args.max_sum, beta1)]),
     "coproduct": _both(lambda args, beta1: [verify_coproduct(args.max_dim, beta1)]),
@@ -327,6 +327,9 @@ def _verify_reports(args):
                          "at least 1" % args.max_dim)
     # the largest exact matrix is a product on V_d (x) V_d, d = --max-dim
     check_exact_rows(args.max_dim ** 2, "--max-dim %d" % args.max_dim)
+    if args.max_dim > MAX_VERIFY_DIM:
+        raise ValueError("--max-dim %d exceeds the limit %d on the dimensions verified"
+                         % (args.max_dim, MAX_VERIFY_DIM))
     _check_coeff_index(args.max_sum, "--max-sum")
     beta1 = parse_ring_elem(args.beta1)
     if args.suite == "all":

@@ -9,6 +9,7 @@ floating point except the explicit `evaluate` bridge.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -363,6 +364,12 @@ def _cancel(a, b):
                              b.denom))
 
 
+POLE_TOLERANCE = 1e-12
+"""`RingElem.evaluate` refuses a point where |den(x0)| is at most this
+fraction of sum |c_e| |x0|^e over the denominator's terms: at a pole the
+terms cancel up to rounding, which leaves about 1e-16 of that sum."""
+
+
 class RingElem:
     """An element of Q(x) stored as a canonical numerator/denominator pair.
 
@@ -499,7 +506,8 @@ class RingElem:
             raise ValueError("cannot evaluate at q = 0")
         x0 = q0 ** 0.125
         dv = self.den(x0)
-        if dv == 0 or abs(dv) < 1e-250:
+        scale = sum(abs(complex(c) * x0 ** e) for e, c in self.den.coefficients().items())
+        if abs(dv) <= POLE_TOLERANCE * scale:
             raise ValueError("denominator vanishes at q = %r" % (q0,))
         return self.num(x0) / dv
 
@@ -671,71 +679,48 @@ def _power_size(v):
     return size
 
 
-def _tokenize(s):
-    tokens = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            tokens.append(("int", int(s[i:j])))
-            i = j
-        elif ch in "xq^*/+-()":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise ValueError("unexpected character %r in expression %r" % (ch, s))
-    tokens.append(("end", None))
-    return tokens
+def parse_ring_elem(s):
+    """Parse a ring element from the small expression grammar."""
+    tokens = [int(tok) if tok.isdecimal() else tok for tok in re.findall(r"\d+|\S", s)]
+    for tok in tokens:
+        if isinstance(tok, str) and tok not in "xq^*/+-()":
+            raise ValueError("unexpected character %r in expression %r" % (tok, s))
+    tokens.reverse()
 
+    def take(*allowed):
+        """Consume and return the next token if it is one of `allowed`, where
+        int stands for any integer; otherwise None."""
+        if tokens and (tokens[-1] in allowed or type(tokens[-1]) in allowed):
+            return tokens.pop()
+        return None
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expr(self):
-        value = self.term()
-        while self.peek() in "+-":
-            op, _ = self.next()
-            rhs = self.term()
+    def expr():
+        value = term()
+        while op := take("+", "-"):
+            rhs = term()
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def term(self):
-        value = self.factor()
-        while self.peek() in "*/":
-            op, _ = self.next()
-            rhs = self.factor()
-            if op == "/":
-                if rhs.is_zero:
-                    raise ValueError("division by zero in expression")
-                value = value / rhs
-            else:
+    def term():
+        value = factor()
+        while op := take("*", "/"):
+            rhs = factor()
+            if op == "*":
                 value = value * rhs
+            elif rhs.is_zero:
+                raise ValueError("division by zero in expression")
+            else:
+                value = value / rhs
         return value
 
-    def factor(self):
-        if self.peek() in "+-":
-            op, _ = self.next()
-            value = self.factor()
-            return value if op == "+" else -value
-        value = self.atom()
-        while self.peek() == "^":
-            self.next()
-            n = self.exponent()
+    def factor():
+        sign = take("+", "-")
+        if sign:
+            value = factor()
+            return value if sign == "+" else -value
+        value = atom()
+        while take("^"):
+            n = exponent()
             if abs(n) * _power_size(value) > MAX_POWER_SIZE:
                 raise ValueError("power ^%d is too large: |exponent| times the "
                                  "size of its base must be at most %d"
@@ -743,44 +728,32 @@ class _Parser:
             value = value ** n
         return value
 
-    def atom(self):
-        kind, val = self.next()
-        if kind == "int":
-            return RingElem.from_rational(val)
-        if kind == "x":
-            return X
-        if kind == "q":
-            return Q
-        if kind == "(":
-            value = self.expr()
-            if self.next()[0] != ")":
+    def atom():
+        tok = take(int, "x", "q", "(")
+        if tok is None:
+            raise ValueError("unexpected token %r in expression" % (tokens[-1],)
+                             if tokens else "unexpected end of expression")
+        if tok == "(":
+            value = expr()
+            if not take(")"):
                 raise ValueError("missing closing parenthesis")
             return value
-        raise ValueError("unexpected token %r in expression" % (val,))
+        return X if tok == "x" else Q if tok == "q" else RingElem.from_rational(tok)
 
-    def exponent(self):
-        paren = self.peek() == "("
-        if paren:
-            self.next()
-        sign = 1
-        if self.peek() in "+-":
-            op, _ = self.next()
-            sign = -1 if op == "-" else 1
-        kind, val = self.next()
-        if kind != "int":
+    def exponent():
+        paren = take("(")
+        sign = -1 if take("+", "-") == "-" else 1
+        n = take(int)
+        if n is None:
             raise ValueError("exponent must be an integer")
-        if paren and self.next()[0] != ")":
+        if paren and not take(")"):
             raise ValueError("missing closing parenthesis in exponent")
-        return sign * val
+        return sign * n
 
-
-def parse_ring_elem(s):
-    """Parse a ring element from the small expression grammar."""
-    parser = _Parser(_tokenize(s))
     try:
-        value = parser.expr()
+        value = expr()
     except RecursionError:
         raise ValueError("expression nested too deeply") from None
-    if parser.peek() != "end":
+    if tokens:
         raise ValueError("trailing input in expression %r" % s)
     return value

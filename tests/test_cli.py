@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -109,10 +110,17 @@ class TestOtherCommands:
             "alpha": [v.to_json() for v in table.alphas]}
 
     def test_zbn_relations(self):
-        code, out = run_cli("zbn", "--dim", "2", "--strands", "3",
+        code, out = run_cli("verify", "zbn", "--dim", "2", "--strands", "3",
                             "--beta1", "1")
         assert code == 0
         assert "4/4 checks passed" in out
+
+    def test_zbn_needs_a_word(self, capsys):
+        # the relation suite is `verify zbn`; `zbn` only evaluates words
+        code, out = run_cli("zbn", "--dim", "2", "--strands", "3", "--at-q", "0.7",
+                            "--format", "json")
+        assert code == 2 and out == ""
+        assert "--word" in capsys.readouterr().err
 
     def test_zbn_word(self):
         code_a, out_a = run_cli("zbn", "--dim", "2", "--strands", "2",
@@ -278,6 +286,16 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("twist", "--dim", "2", "--beta1", "1/(q-2)", "--at-q", "2"),
+        ("twist", "--dim", "2", "--beta1", "1/(1+q)", "--at-q", "-1")], ids=" ".join)
+    def test_pole_refused(self, argv, capsys):
+        # the denominator vanishes at q0 up to rounding only
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: denominator vanishes at q = ")
+
     @pytest.mark.parametrize("word", ["0,1,-1", "0''"])
     def test_bad_braid_word(self, word, capsys):
         code, out = run_cli("zbn", "--dim", "3", "--strands", "2", "--word", word)
@@ -306,7 +324,7 @@ class TestSizeLimits:
         ("coeffs", "--count", "2", "--beta1", "(1+x)^100000"),
         ("twist", "--dim", "2", "--beta1", "((1+x)^99)^99"),
         ("twist", "--dim", "2", "--beta1", "2^100000000"),
-        ("zbn", "--dim", "3", "--strands", "1000000000"),
+        ("zbn", "--dim", "3", "--strands", "1000000000", "--word", "0"),
         ("zbn", "--dim", "1", "--strands", "1000", "--word", "0"),
         ("zbn", "--dim", "5000", "--strands", "1", "--word", "0", "--at-q", "0.7"),
         # a one-strand bundle of 17 rows whose braid matrix has 289
@@ -323,6 +341,8 @@ class TestSizeLimits:
         # exponent notation, refused before Fraction() expands the power of ten
         ("twist", "--dim", "2", "--variant", "k_conjugate", "--alpha", "1e10000000"),
         ("verify", "four-braid", "--variant", "k_conjugate", "--alpha", "1e10000000"),
+        # within the row ceiling, but above the recorded time bound
+        ("verify", "all", "--max-dim", str(cli.MAX_VERIFY_DIM + 1)),
     ]
 
     @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
@@ -355,6 +375,14 @@ class TestSizeLimits:
         assert MAX_EXACT_DIM >= 5 * 5
         assert run_cli("coeffs", "--count", "2", "--beta1", "(1+x)^64")[0] == 0
 
+    def test_verify_dim_limit(self, capsys):
+        # the benchmark sweeps four-braid to --max-dim 5
+        assert cli.MAX_VERIFY_DIM >= 5
+        too_big = cli.MAX_VERIFY_DIM + 1
+        assert run_cli("verify", "inverse", "--max-dim", str(too_big))[0] == 2
+        assert "--max-dim %d exceeds the limit %d" % (too_big, cli.MAX_VERIFY_DIM) \
+            in capsys.readouterr().err
+
     def test_twist_at_the_coefficient_limit(self, capsys):
         code, out = run_cli("twist", "--dim", "17")
         assert code == 0 and out.count("\n") == 17
@@ -369,6 +397,17 @@ class TestSizeLimits:
         assert code == 0 and "a+b <= 0" in out
         code, out = run_cli("coeffs", "--count", "0")
         assert code == 0 and out == "beta_0  = 1\nbeta'_0 = 1\nalpha_0 = 1\n"
+
+
+def test_readme_command_lines_run():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        block = f.read().split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(lines) == 9
+    for argv in lines:
+        assert argv[0] == "qweyl"
+        assert run_cli(*argv[1:])[0] == 0, argv
 
 
 def _run_python(code):

@@ -377,6 +377,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             e.evaluate(1.0)
 
+    def test_pole_up_to_rounding_reported(self):
+        # at these poles the denominator evaluates to about 1e-16, not 0
+        for e, q0 in ((ONE / (Q - 2), 2.0), (ONE / (ONE + Q), -1.0)):
+            with pytest.raises(ValueError, match="^denominator vanishes at q = "):
+                e.evaluate(q0)
+        assert abs((ONE / (Q - 2)).evaluate(2.001) - 1000) < 1e-6
+        # the test is relative: a small denominator is not a pole
+        assert (ONE / X ** 40).evaluate(1e-60) == pytest.approx(1e300)
+
 
 class TestQCombinatorics:
     def test_quantum_integers(self):

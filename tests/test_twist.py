@@ -1,3 +1,5 @@
+import argparse
+import io
 import math
 import re
 from fractions import Fraction
@@ -521,6 +523,59 @@ class TestNegativeTwins:
         assert failed_lines(rep) == [
             "FAIL coefficient equation in the unprimed coefficients, a+b <= 6  "
             "[(a=1,b=3), (a=1,b=4), (a=1,b=5)]"]
+
+    @staticmethod
+    def verify_lines(*argv):
+        """Exit code and report lines of `qweyl verify ...`, summaries dropped."""
+        buf = io.StringIO()
+        code = cli.run(["verify", *argv], out=buf)
+        return code, [line for line in buf.getvalue().splitlines()
+                      if line.startswith(("ok  ", "FAIL"))]
+
+    def test_four_braid_tampered_twist(self, monkeypatch):
+        true_t = twist.twist_t
+        monkeypatch.setattr(twist, "twist_t",
+                            lambda d, cfg: bump(true_t(d, cfg), 1, 1) if d == 3
+                            else true_t(d, cfg))
+        code, lines = self.verify_lines("four-braid", "--max-dim", "3")
+        assert code == 1
+        failed = [line for line in lines if line.startswith("FAIL")]
+        # V1 is trivial, so R on V1 (x) V3 is the identity and t1 a scalar:
+        # V1 (x) V3 and V3 (x) V1 hold for any t on V3
+        assert [line.split("  [")[0] for line in failed] == [
+            "FAIL cylinder braid equation on V2 (x) V3 (standard)",
+            "FAIL cylinder braid equation on V3 (x) V2 (standard)",
+            "FAIL cylinder braid equation on V3 (x) V3 (standard)",
+            "FAIL braid-matrix form on V3 (x) V3 (standard)"]
+        assert all(ENTRY.search(line) for line in failed)
+        assert len(lines) == 12
+
+    def test_inverse_tampered_zhat_inverse(self, monkeypatch):
+        true_inverse = twist.zhat_inverse
+        monkeypatch.setattr(twist, "zhat_inverse",
+                            lambda d, b1: bump(true_inverse(d, b1), 0, 3) if d == 4
+                            else true_inverse(d, b1))
+        code, lines = self.verify_lines("inverse")
+        assert code == 1
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert [line.split("  [")[0] for line in failed] == [
+            "FAIL zhat inverse (right) d=4", "FAIL zhat inverse (left) d=4"]
+        assert all(ENTRY.search(line) for line in failed)
+        assert len(lines) == 12
+
+    def test_variants_tampered_drinfeld_u(self, monkeypatch):
+        true_u = twist.drinfeld_u
+        # at d = 2 the suite sees entry (0,1) of u; a bump of (0,0), (1,0) or
+        # (1,1) leaves both identities true
+        monkeypatch.setattr(twist, "drinfeld_u",
+                            lambda d: bump(true_u(d), 0, 1) if d == 2 else true_u(d))
+        reports = cli._variants(argparse.Namespace(max_dim=3), B1)
+        failed = [line for rep in reports for line in failed_lines(rep)]
+        assert [line.split("  [")[0] for line in failed] == [
+            "FAIL cylinder braid equation on V2 (x) V2 (u_conjugate)",
+            "FAIL braid-matrix form on V2 (x) V2 (u_conjugate)"]
+        assert all(ENTRY.search(line) for line in failed)
+        assert sum(len(rep.checks) for rep in reports) == 30
 
 
 class TestCacheBounds:
