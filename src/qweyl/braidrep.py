@@ -11,7 +11,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from .repn import QMatrix, embed
-from .reports import Report, labels_check, matrix_check, matrix_report
+from .reports import Report, labels_check, matrix_check, product_check
 from .rmat import braid_matrix
 from .twist import TwistConfig, braid_form_sides, twist_t
 
@@ -159,6 +159,6 @@ def verify_affine_relation(d, beta1):
     """Check the shifted cylinder relation satisfied by the conjugated twist
     on V_d (x) V_d: (1 (x) F) B (1 (x) F) B = B (1 (x) F) B (1 (x) F)."""
     tbar = twist_t(d, TwistConfig(beta1=beta1, variant="affine"))
-    return matrix_report("affine relation d=%d" % d, [
-        ("affine cylinder relation on V%d (x) V%d" % (d, d),
-         *braid_form_sides(d, tbar, affine=True))])
+    return Report(title="affine relation d=%d" % d, checks=(product_check(
+        "affine cylinder relation on V%d (x) V%d" % (d, d),
+        *braid_form_sides(d, tbar, affine=True)),))

@@ -50,8 +50,9 @@ index adds about 40%."""
 
 MAX_VERIFY_DIM = 7
 """Largest `verify --max-dim`, a bound on time: `verify all --max-dim d
---beta1 "x^4+1"` took 8.8 s at d = 6, 33.1 s at d = 7 and 99.3 s at d = 8
-on a 2-vCPU host (Python 3.11.7), single runs."""
+--beta1 "x^4+1"` took 2.4 s at d = 6 and 10.8 s at d = 7 on a 2-vCPU host
+(Python 3.11.7), single runs, against 6.1 s and 25.4 s when every
+four-braid side was an exact product; d = 8 took 99.3 s then."""
 
 
 def _check_coeff_index(n, option):
@@ -145,6 +146,20 @@ def _config(args, beta1):
                          "as 1/2 or -3/2, without an exponent" % args.alpha)
     alpha = None if args.alpha is None else Fraction(args.alpha)
     return TwistConfig(beta1=beta1, variant=args.variant, alpha=alpha)
+
+
+def _join_signed_values(argv):
+    """argv with `--beta1 -x^4` written as `--beta1=-x^4`, and so for
+    --alpha: argparse reads a separate value that starts with a single '-'
+    as an option of its own."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in ("--beta1", "--alpha") and arg.startswith("-")
+                and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser():
@@ -363,7 +378,8 @@ def run(argv=None, out=None):
     out = sys.stdout if out is None else out
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if not exc.code else 2
     try:

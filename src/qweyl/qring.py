@@ -419,6 +419,10 @@ class RingElem:
         other = _as_elem(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return other if sign == 1 else -other
         if self.den.is_one and other.den.is_one:
             return RingElem._raw(self.num._plus(other.num, sign), _P_ONE)
         return _make((self.num * other.den)._plus(other.num * self.den, sign),

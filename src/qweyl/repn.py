@@ -8,8 +8,10 @@ basis every generator matrix lives over Q(x).
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import lru_cache, reduce
+from operator import mul
 
 from .qring import ONE, ZERO, RingElem, as_elem, dot, q_int
 
@@ -260,3 +262,124 @@ def flip(da, db):
         for j in range(db):
             entries[j * da + i][i * db + j] = ONE
     return QMatrix(entries)
+
+
+# ---------------------------------------------------------------------------
+# products of chains of matrices
+
+
+def product(factors):
+    """The left-to-right product F_1 F_2 ... F_n of a chain of matrices."""
+    return reduce(mul, factors)
+
+
+# a factor m cleared to the integer matrix den q^k m, with den the common
+# integer denominator and k >= 0 the least power of q that leaves no negative
+# exponent; rows lists, per row, the (column, polynomial) pairs of the
+# nonzero entries of m, width is the most of them in a row and norm the
+# largest l1 norm of an entry of den q^k m
+_Cleared = namedtuple("_Cleared", "den k rows width norm")
+
+
+def _cleared(m):
+    """m as a _Cleared factor, or None when an entry of m has a non-constant
+    denominator."""
+    rows = [[(j, a.num) for j, a in enumerate(row) if a.num.terms] for row in m.entries]
+    if not all(a.den.is_one for row in m.entries for a in row if a.num.terms):
+        return None
+    flat = [p for row in rows for _, p in row]
+    den = math.lcm(*(p.denom for p in flat))
+    k = max([0] + [-(min(p.terms) // 8) for p in flat])
+    norm = max([den // p.denom * sum(map(abs, p.terms.values())) for p in flat], default=0)
+    return _Cleared(den, k, rows, max(map(len, rows)), norm)
+
+
+def _image(c, w):
+    """The entries of the cleared factor c, integer polynomials sum v x^e with
+    e >= 0, as their images in Z[x]/(x^8 - 2^w): per row the (16 j + r, sum
+    of v 2^(w (e >> 3)) over the exponents e = r mod 8) pairs of column j and
+    class r, zeros left out."""
+    out = []
+    for row in c.rows:
+        image_row = []
+        for j, p in row:
+            scale = c.den // p.denom
+            classes = [0] * 8
+            for e, v in p.terms.items():
+                classes[e & 7] += v * scale << w * ((e >> 3) + c.k)
+            image_row.extend((16 * j + r, v) for r, v in enumerate(classes) if v)
+        out.append(image_row)
+    return out
+
+
+def _row_times(vec, rows, w):
+    """The row vector vec times the matrix rows, both in the image and keyed
+    16 j + r by column j and class r; x^8 = 2^w folds class r + 8 onto r."""
+    acc = {}
+    get = acc.get
+    for ka, va in vec.items():
+        ra = ka & 7
+        for jb, vb in rows[ka >> 4]:
+            key = jb + ra
+            acc[key] = get(key, 0) + va * vb
+    out = {}
+    for key, v in acc.items():
+        if key & 8:
+            key -= 8
+            v <<= w
+        out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
+
+
+def products_equal(lhs, rhs):
+    """Whether the chains of matrices lhs and rhs have equal products, decided
+    without building either product; None when some factor has an entry with
+    a non-constant denominator, or when the two sides are cleared by
+    different total scalings.
+
+    Each factor F_m is cleared to the integer matrix D_m q^(K_m) F_m, and its
+    entries are mapped by x -> x, q = x^8 -> 2^w into Z[x]/(x^8 - 2^w), a ring
+    homomorphism in which an entry is at most 8 big integers, one for each
+    exponent class mod 8.  With both sides cleared by the same prod D_m and
+    sum K_m, the sides are equal exactly when the cleared products are, and a
+    difference of images is the difference of the products' images.  That
+    map loses nothing on an integer polynomial whose coefficients are below
+    2^w in absolute value (one with |c_k| <= X - 1 that is not zero is not
+    zero at X).  A chain F_1 ... F_n has at most prod_(m<n) width_m paths
+    from a row to a column, so every entry of its cleared product has an l1
+    norm of at most B = prod_(m<n) width_m * prod_m norm_m, and
+    w = bit_length(B_lhs + B_rhs) + 1 bounds every coefficient of the
+    difference.  Products are taken row by row, left to right.
+    """
+    cleared = {}
+    for f in (*lhs, *rhs):
+        if id(f) not in cleared:
+            cleared[id(f)] = _cleared(f)
+            if cleared[id(f)] is None:
+                return None
+    scalings, bounds = [], []
+    for chain in (lhs, rhs):
+        for f, g in zip(chain, chain[1:]):
+            if f.cols != g.rows:
+                raise ValueError("shape mismatch: %dx%d times %dx%d"
+                                 % (f.rows, f.cols, g.rows, g.cols))
+        facts = [cleared[id(f)] for f in chain]
+        scalings.append((math.prod(c.den for c in facts), sum(c.k for c in facts)))
+        bounds.append(math.prod(c.width for c in facts[:-1])
+                      * math.prod(c.norm for c in facts))
+    if scalings[0] != scalings[1]:
+        return None
+    if (lhs[0].rows, lhs[-1].cols) != (rhs[0].rows, rhs[-1].cols):
+        return False
+    w = sum(bounds).bit_length() + 1
+    images = {key: _image(c, w) for key, c in cleared.items()}
+    for i in range(lhs[0].rows):
+        sides = []
+        for chain in (lhs, rhs):
+            vec = dict(images[id(chain[0])][i])
+            for f in chain[1:]:
+                vec = _row_times(vec, images[id(f)], w)
+            sides.append(vec)
+        if sides[0] != sides[1]:
+            return False
+    return True

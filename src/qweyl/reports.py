@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .repn import product, products_equal
+
 Check = namedtuple("Check", "name ok detail", defaults=("",))
 
 
@@ -36,6 +38,17 @@ def matrix_check(name, lhs, rhs):
     i, j, a, b = lhs.first_difference(rhs)
     return Check(name=name, ok=False,
                  detail="entry (%d,%d): %s != %s" % (i + 1, j + 1, a, b))
+
+
+def product_check(name, lhs, rhs):
+    """matrix_check of the products of two chains of matrices, each a tuple of
+    factors from left to right.  A ring image proves most equalities without
+    building either product (repn.products_equal); the products are built and
+    compared entry by entry only when it does not, so every failure and every
+    rational-function entry goes through matrix_check."""
+    if products_equal(lhs, rhs):
+        return Check(name=name, ok=True)
+    return matrix_check(name, product(lhs), product(rhs))
 
 
 def labels_check(name, cases, shown=None):

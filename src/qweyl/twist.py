@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .qring import ONE, ZERO, RingElem, as_elem, q_binomial, q_factorial, q_int, q_power
 from .repn import QMatrix, embed, irrep, kron, powers, tensor_series, x_diagonal
-from .reports import Check, Report, labels_check, matrix_report
+from .reports import Check, Report, labels_check, matrix_report, product_check
 from .rmat import (
     braid_matrix,
     cartan_factor,
@@ -235,7 +235,8 @@ def coproduct_t(da, db, config):
 
 
 def four_braid_sides(da, db, ta, tb, affine=False):
-    """Both sides of the cylinder braid equation for given twist matrices.
+    """Both sides of the cylinder braid equation for given twist matrices,
+    each as its tuple of factors from left to right.
 
     Ordinary form:  R21 t2 R t1  vs  t1 R21 t2 R.
     Affine form:    R t2 R21 t1  vs  t1 R t2 R21, i.e. R and R21 exchanged.
@@ -245,14 +246,15 @@ def four_braid_sides(da, db, ta, tb, affine=False):
     r, rt = r_matrix(da, db), r21(da, db)
     if affine:
         r, rt = rt, r
-    return rt * t2 * r * t1, t1 * rt * t2 * r
+    return (rt, t2, r, t1), (t1, rt, t2, r)
 
 
 def braid_form_sides(d, t, affine=False):
-    """Both sides of the equivalent braid-matrix form on V_d (x) V_d."""
+    """Both sides of the equivalent braid-matrix form on V_d (x) V_d, each as
+    its tuple of factors from left to right."""
     b = braid_matrix(d)
     f = embed(t, left=d) if affine else embed(t, right=d)
-    return f * b * f * b, b * f * b * f
+    return (f, b, f, b), (b, f, b, f)
 
 
 def verify_four_braid(da, db, config):
@@ -266,7 +268,8 @@ def verify_four_braid(da, db, config):
     if da == db:
         sides.append(("braid-matrix form on V%d (x) V%d (%s)" % (da, db, config.variant),
                       *braid_form_sides(da, ta, affine=affine)))
-    return matrix_report("four-braid d=(%d,%d) %s" % (da, db, config.variant), sides)
+    return Report(title="four-braid d=(%d,%d) %s" % (da, db, config.variant),
+                  checks=tuple(product_check(*side) for side in sides))
 
 
 def verify_zdelta(da, db, beta1):

@@ -20,7 +20,7 @@ import pytest
 
 from qweyl.braidrep import zbn_generators
 from qweyl.qring import ONE, X, ZERO, q_factorial, q_power
-from qweyl.repn import embed, irrep, powers, tensor_series, x_diagonal
+from qweyl.repn import embed, irrep, powers, product, tensor_series, x_diagonal
 from qweyl.rmat import cartan_factor, conjugated_r, r_inverse, r_matrix
 from qweyl.twist import (
     TwistConfig,
@@ -100,7 +100,8 @@ def test_four_braid_sides_have_degree_at_most_D(da, db):
     sides = [four_braid_sides(da, db, twist_at(da, b), twist_at(db, b))
              for b in range(degree + 2)]
     for side in (0, 1):
-        assert differences([s[side] for s in sides], degree + 1).is_zero, side
+        assert differences([product(s[side]) for s in sides],
+                           degree + 1).is_zero, side
 
 
 @pytest.mark.parametrize("d", (1, 2, 3))
@@ -108,11 +109,13 @@ def test_braid_form_sides_have_degree_at_most_D(d):
     degree = 2 * (d - 1)
     sides = [braid_form_sides(d, twist_at(d, b)) for b in range(degree + 2)]
     for side in (0, 1):
-        assert differences([s[side] for s in sides], degree + 1).is_zero, side
+        assert differences([product(s[side]) for s in sides],
+                           degree + 1).is_zero, side
 
 
 def test_four_braid_left_side_degree_is_exact_at_3_3():
-    lhs = [four_braid_sides(3, 3, twist_at(3, b), twist_at(3, b))[0] for b in range(5)]
+    lhs = [product(four_braid_sides(3, 3, twist_at(3, b), twist_at(3, b))[0])
+           for b in range(5)]
     assert not differences(lhs, 4).is_zero
 
 

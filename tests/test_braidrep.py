@@ -15,7 +15,7 @@ from qweyl.braidrep import (
     zbn_generators_numeric,
 )
 from qweyl.qring import ONE, RingElem, parse_ring_elem
-from qweyl.repn import QMatrix, kron
+from qweyl.repn import QMatrix, kron, product, products_equal
 from qweyl.rmat import braid_matrix
 from qweyl.twist import TwistConfig, braid_form_sides, four_braid_sides, twist_t
 
@@ -126,15 +126,15 @@ class TestEquationFormsAgree:
     def test_verdicts_match_on_good_and_bad_input(self):
         for d in (2, 3):
             t = twist_t(d, CFG1)
-            lhs, rhs = four_braid_sides(d, d, t, t)
-            bl, br = braid_form_sides(d, t)
+            lhs, rhs = map(product, four_braid_sides(d, d, t, t))
+            bl, br = map(product, braid_form_sides(d, t))
             assert (lhs == rhs) and (bl == br)
         t = twist_t(2, CFG1)
         rows = [list(r) for r in t.entries]
         rows[1][1] = rows[1][1] + ONE
         bad = QMatrix(rows)
-        lhs, rhs = four_braid_sides(2, 2, bad, bad)
-        bl, br = braid_form_sides(2, bad)
+        lhs, rhs = map(product, four_braid_sides(2, 2, bad, bad))
+        bl, br = map(product, braid_form_sides(2, bad))
         assert (lhs != rhs) and (bl != br)
 
 
@@ -237,6 +237,23 @@ class TestAffine:
         [line] = rep.lines()
         assert re.match(r"FAIL affine cylinder relation on V3 \(x\) V3  "
                         r"\[entry \(\d+,\d+\): ", line)
+
+
+    def test_tampered_twist_detail_is_the_exact_one(self, monkeypatch):
+        # the ring image refutes the sides; the line is the one the exact
+        # products gave before the image was used
+        def tampered(d, config):
+            rows = [list(r) for r in twist_t(d, config).entries]
+            rows[1][1] = rows[1][1] + ONE
+            return QMatrix(rows)
+
+        tbar = tampered(3, TwistConfig(beta1=B1, variant="affine"))
+        assert products_equal(*braid_form_sides(3, tbar, affine=True)) is False
+        monkeypatch.setattr(braidrep, "twist_t", tampered)
+        assert verify_affine_relation(3, B1).lines() == [
+            "FAIL affine cylinder relation on V3 (x) V3  [entry (5,7): x^4 - 2 + x^-4 "
+            "- 2*x^-8 + x^-12 + 2*x^-16 + 2*x^-24 - 2*x^-28 - x^-36 != x^-4 + 2*x^-12 "
+            "- 2*x^-28 - x^-36]"]
 
 
 class TestNumericBundle:

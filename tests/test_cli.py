@@ -308,6 +308,32 @@ class TestUsageErrors:
         assert "trailing '" in err
 
 
+class TestSeparateSignedValues:
+    """A value that starts with '-' may follow --beta1 or --alpha as an
+    argument of its own, as it may follow '='."""
+
+    CASES = [("twist", "--dim", "2", "--beta1", "-x^4"),
+             ("twist", "--dim", "3", "--beta1", "-1/2", "--format", "json"),
+             ("twist", "--dim", "4", "--variant", "k_conjugate", "--alpha", "-3/2"),
+             ("verify", "four-braid", "--max-dim", "2", "--beta1", "-x^4+1"),
+             ("coeffs", "--count", "4", "--beta1", "-q"),
+             ("zbn", "--dim", "2", "--strands", "2", "--word", "0 1'", "--beta1", "-2")]
+
+    @pytest.mark.parametrize("argv", CASES, ids=" ".join)
+    def test_same_bytes_as_the_equals_form(self, argv):
+        at = argv.index("--beta1" if "--beta1" in argv else "--alpha")
+        joined = argv[:at] + ("%s=%s" % argv[at:at + 2],) + argv[at + 2:]
+        code, out = run_cli(*argv)
+        assert code == 0 and out
+        assert (code, out) == run_cli(*joined)
+
+    def test_an_option_after_the_flag_is_still_a_missing_value(self, capsys):
+        code, out = run_cli("twist", "--dim", "2", "--beta1", "--format", "json")
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert "--beta1: expected one argument" in err and "Traceback" not in err
+
+
 class TestSizeLimits:
     REFUSED = [
         ("twist", "--dim", "5000"),

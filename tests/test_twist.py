@@ -17,7 +17,8 @@ from qweyl.qring import (
     q_int,
     q_power,
 )
-from qweyl.repn import QMatrix, irrep, kron, x_diagonal
+from qweyl.repn import QMatrix, irrep, kron, product, products_equal, x_diagonal
+from qweyl.reports import matrix_check
 from qweyl.rmat import r_inverse, r_matrix, r21
 from qweyl import cli, twist
 from qweyl.twist import (
@@ -245,7 +246,7 @@ class TestFourBraid:
         rows = [list(r) for r in t.entries]
         rows[1][1] = rows[1][1] + ONE
         bad = QMatrix(rows)
-        lhs, rhs = four_braid_sides(2, 2, bad, bad)
+        lhs, rhs = map(product, four_braid_sides(2, 2, bad, bad))
         diff = lhs.first_difference(rhs)
         assert diff is not None
         i, j, a, b = diff
@@ -259,7 +260,7 @@ class TestFourBraid:
         rows[0][0] = rows[0][0] + ONE
         shifted = QMatrix(rows)
         assert shifted == twist_t(2, TwistConfig(beta1=B1 - x_pow(4)))
-        lhs, rhs = four_braid_sides(2, 2, shifted, shifted)
+        lhs, rhs = map(product, four_braid_sides(2, 2, shifted, shifted))
         assert lhs == rhs
 
     def test_report_shape(self):
@@ -549,6 +550,22 @@ class TestNegativeTwins:
             "FAIL braid-matrix form on V3 (x) V3 (standard)"]
         assert all(ENTRY.search(line) for line in failed)
         assert len(lines) == 12
+
+    def test_four_braid_failure_detail_is_the_exact_one(self, monkeypatch):
+        # the ring image refutes the tampered sides; the detail still comes
+        # from the exact products, as it did before the image was used
+        true_t = twist.twist_t
+        monkeypatch.setattr(twist, "twist_t",
+                            lambda d, cfg: bump(true_t(d, cfg), 1, 1) if d == 3
+                            else true_t(d, cfg))
+        cfg = TwistConfig(beta1=B1)
+        lhs, rhs = four_braid_sides(2, 3, twist.twist_t(2, cfg), twist.twist_t(3, cfg))
+        assert products_equal(lhs, rhs) is False
+        name = "cylinder braid equation on V2 (x) V3 (standard)"
+        [check] = verify_four_braid(2, 3, cfg).checks
+        assert check == matrix_check(name, product(lhs), product(rhs))
+        assert check.detail == ("entry (1,2): -x^-12 - 2*x^-20 - x^-28 != "
+                                "-1 - x^-12 + x^-16 - 2*x^-20 - x^-28")
 
     def test_inverse_tampered_zhat_inverse(self, monkeypatch):
         true_inverse = twist.zhat_inverse
