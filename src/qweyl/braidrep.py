@@ -77,7 +77,7 @@ class RepBundle(namedtuple("RepBundle", "d n twist braid")):
 
     def leg(self, i):
         """tau_i as (left, factor, right), for 1_left (x) factor (x) 1_right:
-        the twist t on leg 0, the braid matrix on legs (i, i+1)."""
+        the twist t on leg 0, the braid matrix on legs (i-1, i)."""
         left, factor = (1, self.twist) if i == 0 else (self.d ** (i - 1), self.braid)
         return left, factor, self.d ** self.n // (left * factor.rows)
 

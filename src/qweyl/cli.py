@@ -49,10 +49,13 @@ x^4) takes about 0.34 s on a 2-vCPU host (Python 3.11.7), and each further
 index adds about 40%."""
 
 MAX_VERIFY_DIM = 7
-"""Largest `verify --max-dim`, a bound on time: `verify all --max-dim d
---beta1 "x^4+1"` took 2.4 s at d = 6 and 10.8 s at d = 7 on a 2-vCPU host
-(Python 3.11.7), single runs, against 6.1 s and 25.4 s when every
-four-braid side was an exact product; d = 8 took 99.3 s then."""
+"""Largest `verify --max-dim` and `verify zbn --dim`, a bound on time:
+`verify all --max-dim d --beta1 "x^4+1"` took 2.4 s at d = 6 and 10.8 s at
+d = 7 on a 2-vCPU host (Python 3.11.7), single runs, against 6.1 s and
+25.4 s when every four-braid side was an exact product; d = 8 took 99.3 s
+then.  `verify zbn --dim 7 --strands 2` took 0.7 s and `--dim 6 --strands 3`
+1.2 s; the type-B relation alone took 42.5 s at d = 11 and grows about 3x
+per step."""
 
 
 def _check_coeff_index(n, option):
@@ -345,6 +348,9 @@ def _verify_reports(args):
     if args.max_dim > MAX_VERIFY_DIM:
         raise ValueError("--max-dim %d exceeds the limit %d on the dimensions verified"
                          % (args.max_dim, MAX_VERIFY_DIM))
+    if args.suite == "zbn" and args.dim > MAX_VERIFY_DIM:
+        raise ValueError("--dim %d exceeds the limit %d on the dimensions verified"
+                         % (args.dim, MAX_VERIFY_DIM))
     _check_coeff_index(args.max_sum, "--max-sum")
     beta1 = parse_ring_elem(args.beta1)
     if args.suite == "all":

@@ -61,8 +61,3 @@ def labels_check(name, cases, shown=None):
         # drop this case's sides before the next case is built
         del lhs, rhs
     return Check(name=name, ok=not failed, detail=", ".join(failed[:shown]))
-
-
-def matrix_report(title, sides):
-    """A report of exact matrix equalities, one check per (name, lhs, rhs)."""
-    return Report(title=title, checks=tuple(matrix_check(*side) for side in sides))

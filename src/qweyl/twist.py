@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .qring import ONE, ZERO, RingElem, as_elem, q_binomial, q_factorial, q_int, q_power
 from .repn import QMatrix, embed, irrep, kron, powers, tensor_series, x_diagonal
-from .reports import Check, Report, labels_check, matrix_report, product_check
+from .reports import Check, Report, labels_check, product_check
 from .rmat import (
     braid_matrix,
     cartan_factor,
@@ -222,12 +222,10 @@ def coproduct_z(da, db, beta1):
     return gauss * coproduct_zhat(da, db, beta1)
 
 
-def coproduct_t(da, db, config):
-    """Coproduct of the standard twist: R^-1 (w (x) w) coproduct(z)."""
-    if config.variant != "standard":
-        raise ValueError("coproduct is only available for the standard twist")
-    ww = kron(weyl_w(da), weyl_w(db))
-    return r_inverse(da, db) * ww * coproduct_z(da, db, config.beta1)
+def coproduct_t(da, db, beta1):
+    """Coproduct of the standard twist as its chain of factors from left to
+    right: (R^-1, w (x) w, coproduct(z))."""
+    return r_inverse(da, db), kron(weyl_w(da), weyl_w(db)), coproduct_z(da, db, beta1)
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +280,13 @@ def verify_zdelta(da, db, beta1):
         (series_coeff_B(n),
          x_diagonal(-4 * n * h for h in irrep(da).weights) * fpow_a[n], fpow_b[n])
         for n in range(nmax + 1))
-    rhs_hat = cartan_factor(da, db, 1) \
-        * embed(zhat(db, beta1), left=da) \
-        * cartan_factor(da, db, -1) \
-        * series \
-        * embed(zhat(da, beta1), right=db)
-    return matrix_report("zdelta d=(%d,%d)" % (da, db), [
-        ("coproduct condition for z on V%d (x) V%d" % (da, db),
-         coproduct_z(da, db, beta1), z2 * conjugated_r(da, db) * z1),
-        ("unipotent coproduct equation on V%d (x) V%d" % (da, db),
-         coproduct_zhat(da, db, beta1), rhs_hat)])
+    rhs_hat = (cartan_factor(da, db, 1), embed(zhat(db, beta1), left=da),
+               cartan_factor(da, db, -1), series, embed(zhat(da, beta1), right=db))
+    return Report(title="zdelta d=(%d,%d)" % (da, db), checks=(
+        product_check("coproduct condition for z on V%d (x) V%d" % (da, db),
+                      (coproduct_z(da, db, beta1),), (z2, conjugated_r(da, db), z1)),
+        product_check("unipotent coproduct equation on V%d (x) V%d" % (da, db),
+                      (coproduct_zhat(da, db, beta1),), rhs_hat)))
 
 
 def verify_bform(max_sum, beta1):
@@ -343,24 +338,25 @@ def verify_coproduct(max_dim, beta1):
     and the counit value read off from the one-dimensional representation."""
     cfg = TwistConfig(beta1=beta1)
     dims = range(1, max_dim + 1)
-    sides = [("twist coproduct law on V%d (x) V%d" % (da, db), coproduct_t(da, db, cfg),
-              r_inverse(da, db) * embed(twist_t(db, cfg), left=da)
-              * r_matrix(da, db) * embed(twist_t(da, cfg), right=db))
-             for da in dims for db in dims]
-    sides.append(("counit of the twist is 1", twist_t(1, cfg), QMatrix.identity(1)))
-    return matrix_report("twist coproduct", sides)
+    checks = [product_check("twist coproduct law on V%d (x) V%d" % (da, db),
+                            coproduct_t(da, db, cfg.beta1),
+                            (r_inverse(da, db), embed(twist_t(db, cfg), left=da),
+                             r_matrix(da, db), embed(twist_t(da, cfg), right=db)))
+              for da in dims for db in dims]
+    checks.append(product_check("counit of the twist is 1",
+                                (twist_t(1, cfg),), (QMatrix.identity(1),)))
+    return Report(title="twist coproduct", checks=tuple(checks))
 
 
 def verify_inverse(max_dim, beta1):
     """Check zhat * zhat^-1 = zhat^-1 * zhat = identity for d <= max_dim."""
-    sides = []
+    checks = []
     for d in range(1, max_dim + 1):
-        ident = QMatrix.identity(d)
-        zh = zhat(d, beta1)
-        zinv = zhat_inverse(d, beta1)
-        sides.append(("zhat inverse (right) d=%d" % d, zh * zinv, ident))
-        sides.append(("zhat inverse (left) d=%d" % d, zinv * zh, ident))
-    return matrix_report("unipotent factor inversion", sides)
+        ident = (QMatrix.identity(d),)
+        zh, zinv = zhat(d, beta1), zhat_inverse(d, beta1)
+        checks.append(product_check("zhat inverse (right) d=%d" % d, (zh, zinv), ident))
+        checks.append(product_check("zhat inverse (left) d=%d" % d, (zinv, zh), ident))
+    return Report(title="unipotent factor inversion", checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------

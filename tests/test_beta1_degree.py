@@ -129,7 +129,7 @@ def test_coproduct_law_sides_have_degree_da_plus_db_minus_2(da, db):
     lhs, rhs = [], []
     for b in range(degree + 2):
         cfg = TwistConfig(beta1=b)
-        lhs.append(coproduct_t(da, db, cfg))
+        lhs.append(product(coproduct_t(da, db, b)))
         rhs.append(r_inverse(da, db) * embed(twist_t(db, cfg), left=da)
                    * r_matrix(da, db) * embed(twist_t(da, cfg), right=db))
     assert_degree(lhs, degree)

@@ -14,7 +14,7 @@ from qweyl.braidrep import (
     zbn_generators,
     zbn_generators_numeric,
 )
-from qweyl.qring import ONE, RingElem, parse_ring_elem
+from qweyl.qring import ONE, ZERO, RingElem, parse_ring_elem
 from qweyl.repn import QMatrix, kron, product, products_equal
 from qweyl.rmat import braid_matrix
 from qweyl.twist import TwistConfig, braid_form_sides, four_braid_sides, twist_t
@@ -47,12 +47,37 @@ class TestBundle:
             assert g.rows == g.cols == 8
 
     def test_legs(self):
-        # tau_0 = t (x) 1 on leg 0, tau_i = 1 (x) B (x) 1 on legs (i, i+1)
+        # tau_0 = t (x) 1 on leg 0, tau_i = 1 (x) B (x) 1 on legs (i-1, i)
         bundle = zbn_generators(3, 4, CFG1)
         assert bundle.leg(0) == (1, bundle.twist, 27)
         assert bundle.leg(1) == (1, bundle.braid, 9)
         assert bundle.leg(2) == (3, bundle.braid, 3)
         assert bundle.leg(3) == (9, bundle.braid, 1)
+
+    @pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (2, 4)])
+    def test_generators_follow_the_index_formula(self, d, n):
+        # row r of V_d^(x n) is the basis vector with leg digits r_0 .. r_(n-1),
+        # r = sum_k r_k d^(n-1-k).  tau_0 acts by t on leg 0 and tau_i, i >= 1,
+        # by B on legs i-1, i (B's row index r_(i-1) d + r_i); every other
+        # leg of row and column must agree.  An inverse inverts the factor.
+        bundle = zbn_generators(d, n, CFG1)
+        size = d ** n
+        digits = [[r // d ** (n - 1 - k) % d for k in range(n)] for r in range(size)]
+
+        def entry(factor, legs, r, c):
+            if any(digits[r][k] != digits[c][k] for k in range(n) if k not in legs):
+                return ZERO
+            i = j = 0
+            for k in legs:
+                i, j = i * d + digits[r][k], j * d + digits[c][k]
+            return factor.entries[i][j]
+
+        for factors, exp in ((bundle, 1), (bundle.inverse, -1)):
+            for g in range(n):
+                factor, legs = (factors.twist, (0,)) if g == 0 else (factors.braid, (g - 1, g))
+                expected = QMatrix([[entry(factor, legs, r, c) for c in range(size)]
+                                    for r in range(size)])
+                assert bundle.generator(g, exp) == expected, (g, exp)
 
     def test_guardrail(self, monkeypatch):
         monkeypatch.setattr(braidrep, "MAX_EXACT_DIM", 8)

@@ -369,6 +369,8 @@ class TestSizeLimits:
         ("verify", "four-braid", "--variant", "k_conjugate", "--alpha", "1e10000000"),
         # within the row ceiling, but above the recorded time bound
         ("verify", "all", "--max-dim", str(cli.MAX_VERIFY_DIM + 1)),
+        ("verify", "zbn", "--dim", "8"),
+        ("verify", "zbn", "--dim", "16", "--strands", "2"),
     ]
 
     @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)

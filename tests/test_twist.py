@@ -17,10 +17,20 @@ from qweyl.qring import (
     q_int,
     q_power,
 )
-from qweyl.repn import QMatrix, irrep, kron, product, products_equal, x_diagonal
+from qweyl.repn import (
+    QMatrix,
+    embed,
+    irrep,
+    kron,
+    powers,
+    product,
+    products_equal,
+    tensor_series,
+    x_diagonal,
+)
 from qweyl.reports import matrix_check
-from qweyl.rmat import r_inverse, r_matrix, r21
-from qweyl import cli, twist
+from qweyl.rmat import cartan_factor, conjugated_r, r_inverse, r_matrix, r21
+from qweyl import cli, reports, twist
 from qweyl.twist import (
     BETA1_CACHE_SIZE,
     BRACKET_CACHE_SIZE,
@@ -273,7 +283,7 @@ class TestFourBraid:
 class TestCoproducts:
     def test_trivial(self):
         assert coproduct_zhat(1, 1, B1) == QMatrix.identity(1)
-        assert coproduct_t(1, 1, TwistConfig(beta1=B1)) == QMatrix.identity(1)
+        assert product(coproduct_t(1, 1, B1)) == QMatrix.identity(1)
 
     def test_single_lowering_slice_matches_kron_build(self):
         # isolate the linear-in-beta1 part on V2 (x) V2 by comparing the
@@ -300,15 +310,29 @@ class TestCoproducts:
             cfg = TwistConfig(beta1=b1)
             for da in range(1, 4):
                 for db in range(1, 4):
-                    lhs = coproduct_t(da, db, cfg)
+                    lhs = product(coproduct_t(da, db, b1))
                     t1 = kron(twist_t(da, cfg), QMatrix.identity(db))
                     t2 = kron(QMatrix.identity(da), twist_t(db, cfg))
                     rhs = r_inverse(da, db) * t2 * r_matrix(da, db) * t1
                     assert lhs == rhs, (da, db, b1)
 
-    def test_coproduct_requires_standard_variant(self):
-        with pytest.raises(ValueError):
-            coproduct_t(2, 2, TwistConfig(beta1=B1, variant="affine"))
+    @pytest.mark.parametrize("suite, args", [
+        (verify_zdelta, (1, 2, B1)), (verify_coproduct, (2, B1)), (verify_inverse, (2, B1))],
+        ids=("zdelta", "coproduct", "inverse"))
+    def test_suites_ask_the_ring_image_first(self, suite, args, monkeypatch):
+        # every check goes through product_check, and the image proves some
+        # of them without the exact products
+        true_equal = reports.products_equal
+        verdicts = []
+
+        def spy(lhs, rhs):
+            verdicts.append(true_equal(lhs, rhs))
+            return verdicts[-1]
+
+        monkeypatch.setattr(reports, "products_equal", spy)
+        rep = suite(*args)
+        assert rep.ok and len(verdicts) == len(rep.checks)
+        assert True in verdicts
 
 
 class TestCoefficientEquation:
@@ -433,6 +457,38 @@ class TestNegativeTwins:
         for cached in caches:
             cached.cache_clear()
 
+    @staticmethod
+    def zdelta_sides(da, db, b1):
+        """Both zdelta identities on V_a (x) V_b as chains of factors, built
+        from the twist module's functions as they stand, by check name."""
+        on = "on V%d (x) V%d" % (da, db)
+        nmax = min(da, db) - 1
+        fpow_a, fpow_b = powers(irrep(da).F, nmax), powers(irrep(db).F, nmax)
+        theta = tensor_series(
+            (series_coeff_B(n),
+             x_diagonal(-4 * n * h for h in irrep(da).weights) * fpow_a[n], fpow_b[n])
+            for n in range(nmax + 1))
+        return {
+            "coproduct condition for z " + on: (
+                (coproduct_z(da, db, b1),),
+                (embed(twist.z_elem(db, b1), left=da), conjugated_r(da, db),
+                 embed(twist.z_elem(da, b1), right=db))),
+            "unipotent coproduct equation " + on: (
+                (coproduct_zhat(da, db, b1),),
+                (cartan_factor(da, db, 1), embed(twist.zhat(db, b1), left=da),
+                 cartan_factor(da, db, -1), theta,
+                 embed(twist.zhat(da, b1), right=db)))}
+
+    @staticmethod
+    def assert_exact_details(report, sides):
+        """Each failing check of the report is the exact matrix_check of the
+        products of its sides, given as {name: (lhs, rhs)}."""
+        failed = [c for c in report.checks if not c.ok]
+        assert failed
+        for check in failed:
+            lhs, rhs = sides[check.name]
+            assert check == matrix_check(check.name, product(lhs), product(rhs))
+
     def test_zdelta_tampered_z(self, monkeypatch):
         true_z = twist.z_elem
         monkeypatch.setattr(twist, "z_elem",
@@ -443,6 +499,7 @@ class TestNegativeTwins:
         [line] = failed_lines(rep)
         assert line.startswith("FAIL coproduct condition for z on V2 (x) V3")
         assert ENTRY.search(line)
+        self.assert_exact_details(rep, self.zdelta_sides(2, 3, B1))
 
     def test_zdelta_tampered_zhat(self, monkeypatch):
         true_zhat = twist.zhat
@@ -454,6 +511,7 @@ class TestNegativeTwins:
         failed = failed_lines(rep)
         assert any(line.startswith("FAIL unipotent coproduct equation on V2 (x) V3")
                    and ENTRY.search(line) for line in failed)
+        self.assert_exact_details(rep, self.zdelta_sides(2, 3, B1))
 
     def test_coproduct_tampered_twist(self, monkeypatch):
         true_t = twist.twist_t
@@ -468,6 +526,26 @@ class TestNegativeTwins:
             "FAIL twist coproduct law on V2 (x) V1",
             "FAIL twist coproduct law on V2 (x) V2"]
         assert all(ENTRY.search(line) for line in failed)
+        cfg = TwistConfig(beta1=B1)
+        self.assert_exact_details(rep, {
+            "twist coproduct law on V%d (x) V%d" % (da, db): (
+                coproduct_t(da, db, B1),
+                (r_inverse(da, db), embed(twist.twist_t(db, cfg), left=da),
+                 r_matrix(da, db), embed(twist.twist_t(da, cfg), right=db)))
+            for da in (1, 2) for db in (1, 2)})
+
+    def test_coproduct_tampered_counit(self, monkeypatch):
+        true_t = twist.twist_t
+        monkeypatch.setattr(twist, "twist_t",
+                            lambda d, cfg: bump(true_t(d, cfg), 0, 0) if d == 1
+                            else true_t(d, cfg))
+        rep = verify_coproduct(2, B1)
+        # t on V1 enters the law on V1 (x) V1, V1 (x) V2 and V2 (x) V1 too
+        assert failed_lines(rep) == [
+            "FAIL twist coproduct law on V1 (x) V1  [entry (1,1): 1 != 4]",
+            "FAIL twist coproduct law on V1 (x) V2  [entry (1,1): -x^-4 != -2*x^-4]",
+            "FAIL twist coproduct law on V2 (x) V1  [entry (1,1): -x^-4 != -2*x^-4]",
+            "FAIL counit of the twist is 1  [entry (1,1): 2 != 1]"]
 
     def test_bform_tampered_table(self, monkeypatch):
         true_table = twist.beta_coeffs
@@ -579,6 +657,10 @@ class TestNegativeTwins:
             "FAIL zhat inverse (right) d=4", "FAIL zhat inverse (left) d=4"]
         assert all(ENTRY.search(line) for line in failed)
         assert len(lines) == 12
+        zh, zinv, ident = zhat(4, B1), twist.zhat_inverse(4, B1), QMatrix.identity(4)
+        self.assert_exact_details(verify_inverse(4, B1), {
+            "zhat inverse (right) d=4": ((zh, zinv), (ident,)),
+            "zhat inverse (left) d=4": ((zinv, zh), (ident,))})
 
     def test_variants_tampered_drinfeld_u(self, monkeypatch):
         true_u = twist.drinfeld_u
