@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .repn import QMatrix, embed
+from .repn import QMatrix, embed, product
 from .reports import Report, labels_check, matrix_check, product_check
 from .rmat import braid_matrix
 from .twist import TwistConfig, braid_form_sides, twist_t
@@ -78,6 +78,9 @@ class RepBundle(namedtuple("RepBundle", "d n twist braid")):
     def leg(self, i):
         """tau_i as (left, factor, right), for 1_left (x) factor (x) 1_right:
         the twist t on leg 0, the braid matrix on legs (i-1, i)."""
+        if not 0 <= i < self.n:
+            raise ValueError("generator index %d out of range for %d strands"
+                             % (i, self.n))
         left, factor = (1, self.twist) if i == 0 else (self.d ** (i - 1), self.braid)
         return left, factor, self.d ** self.n // (left * factor.rows)
 
@@ -87,24 +90,24 @@ class RepBundle(namedtuple("RepBundle", "d n twist braid")):
         return embed(factor, left, right)
 
 
-def _factors(d, n, config):
-    """The bundle's two factors, t on V_d and B on V_d (x) V_d, refused when
-    B has more than MAX_EXACT_DIM rows."""
+def _factors(d, n, beta1):
+    """The bundle's two factors, the standard twist t at beta1 on V_d and B on
+    V_d (x) V_d, refused when B has more than MAX_EXACT_DIM rows."""
     check_exact_rows(d * d, "the braid matrix on V%d (x) V%d" % (d, d))
-    return RepBundle(d, n, twist_t(d, config), braid_matrix(d))
+    return RepBundle(d, n, twist_t(d, TwistConfig(beta1)), braid_matrix(d))
 
 
-def zbn_generators(d, n, config):
-    """The bundle on V_d^(x n), refused above the exact-mode row ceiling."""
+def zbn_generators(d, n, beta1):
+    """The bundle at beta1 on V_d^(x n), refused above the exact-mode row ceiling."""
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
     # the strand count is tested first, so that d ** n stays small
     check_exact_rows(n, "a bundle on %d strands" % n)
     check_exact_rows(d ** n, "the bundle V%d^(x%d)" % (d, n))
-    return _factors(d, n, config)
+    return _factors(d, n, beta1)
 
 
-def zbn_generators_numeric(d, n, q0, config):
+def zbn_generators_numeric(d, n, q0, beta1):
     """Generator matrices evaluated at q = q0, as numpy arrays.  Refuses
     bundles above MAX_NUMERIC_DIM rows; the exact factors they are evaluated
     from keep the exact-mode ceiling."""
@@ -112,7 +115,7 @@ def zbn_generators_numeric(d, n, q0, config):
     if not 1 <= n <= MAX_NUMERIC_DIM or d ** n > MAX_NUMERIC_DIM:
         raise ValueError("numeric bundle V%d^(x%d) needs 1 to %d strands and "
                          "at most %d rows" % (d, n, MAX_NUMERIC_DIM, MAX_NUMERIC_DIM))
-    bundle = _factors(d, n, config)
+    bundle = _factors(d, n, beta1)
     import numpy as np
 
     return [np.kron(np.kron(np.eye(left), factor.evaluate(q0)), np.eye(right))
@@ -120,39 +123,36 @@ def zbn_generators_numeric(d, n, q0, config):
 
 
 def relation_report(d, n, g):
-    """Exact check of the four relation families on the generators g of V_d^(x n)."""
-    checks = [
+    """Exact check of the four relation families on the generators g of V_d^(x n),
+    n >= 2."""
+    return Report(title="type-B relations d=%d n=%d" % (d, n), checks=(
         labels_check("far commutation among braid generators",
                      (("(%d,%d)" % (i, j), g[i] * g[j], g[j] * g[i])
                       for i in range(1, n) for j in range(i + 2, n))),
         labels_check("braid relation on adjacent generators",
                      (("(%d,%d)" % (i, i + 1), g[i] * g[i + 1] * g[i],
-                       g[i + 1] * g[i] * g[i + 1]) for i in range(1, n - 1)))]
-    if n >= 2:
-        checks.append(matrix_check("type-B relation with the cylinder generator",
-                                   g[0] * g[1] * g[0] * g[1], g[1] * g[0] * g[1] * g[0]))
-    checks.append(labels_check("cylinder generator commutes with distant braids",
-                               (("i=%d" % i, g[0] * g[i], g[i] * g[0])
-                                for i in range(2, n))))
-    return Report(title="type-B relations d=%d n=%d" % (d, n), checks=tuple(checks))
+                       g[i + 1] * g[i] * g[i + 1]) for i in range(1, n - 1))),
+        matrix_check("type-B relation with the cylinder generator",
+                     g[0] * g[1] * g[0] * g[1], g[1] * g[0] * g[1] * g[0]),
+        labels_check("cylinder generator commutes with distant braids",
+                     (("i=%d" % i, g[0] * g[i], g[i] * g[0]) for i in range(2, n)))))
 
 
-def verify_zbn_relations(d, n, config):
+def verify_zbn_relations(d, n, beta1):
     if n < 2:
         raise ValueError("relation suite needs at least 2 strands")
-    bundle = zbn_generators(d, n, config)
+    bundle = zbn_generators(d, n, beta1)
     return relation_report(d, n, [bundle.generator(i) for i in range(n)])
 
 
 def eval_braid_word(word, bundle):
-    """The ordered product of the word's generators; the identity if empty."""
+    """The chain product of the word's generators, built lazily; the identity if empty."""
     if word.n != bundle.n:
         raise ValueError("word on %d strands does not fit a bundle on %d"
                          % (word.n, bundle.n))
-    result = QMatrix.identity(bundle.d ** bundle.n)
-    for idx, exp in word.letters:
-        result = result * bundle.generator(idx, exp)
-    return result
+    if not word.letters:
+        return QMatrix.identity(bundle.d ** bundle.n)
+    return product(bundle.generator(idx, exp) for idx, exp in word.letters)
 
 
 def verify_affine_relation(d, beta1):

@@ -283,11 +283,11 @@ def _cmd_coeffs(args, out):
 
 
 def _cmd_zbn(args, out):
-    config = TwistConfig(beta1=parse_ring_elem(args.beta1))
+    beta1 = parse_ring_elem(args.beta1)
     word = BraidWord.parse(args.word, args.strands)
     if args.at_q is not None:
         import numpy as np
-        gens = zbn_generators_numeric(args.dim, args.strands, args.at_q, config)
+        gens = zbn_generators_numeric(args.dim, args.strands, args.at_q, beta1)
         inverses = {idx: np.linalg.inv(gens[idx])
                     for idx in {idx for idx, exp in word.letters if exp == -1}}
         result = np.eye(args.dim ** args.strands, dtype=complex)
@@ -295,7 +295,7 @@ def _cmd_zbn(args, out):
             result = result @ (gens[idx] if exp == 1 else inverses[idx])
         _print_numeric(result, args.format, out)
         return 0
-    bundle = zbn_generators(args.dim, args.strands, config)
+    bundle = zbn_generators(args.dim, args.strands, beta1)
     _print_matrix(eval_braid_word(word, bundle), args.format, None, out)
     return 0
 
@@ -328,9 +328,8 @@ _SUITES = {
     "bform": _both(lambda args, beta1: [verify_bform(args.max_sum, beta1)]),
     "coproduct": _both(lambda args, beta1: [verify_coproduct(args.max_dim, beta1)]),
     "inverse": _both(lambda args, beta1: [verify_inverse(max(args.max_dim, 6), beta1)]),
-    "zbn": (lambda args, beta1: [verify_zbn_relations(args.dim, args.strands,
-                                                      TwistConfig(beta1=beta1))],
-            lambda args, beta1: [verify_zbn_relations(d, 3, TwistConfig(beta1=beta1))
+    "zbn": (lambda args, beta1: [verify_zbn_relations(args.dim, args.strands, beta1)],
+            lambda args, beta1: [verify_zbn_relations(d, 3, beta1)
                                  for d in range(2, min(args.max_dim, 3) + 1)]),
     "affine": _both(lambda args, beta1: [verify_affine_relation(d, beta1)
                                          for d in range(1, args.max_dim + 1)]),

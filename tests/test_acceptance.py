@@ -96,8 +96,8 @@ def test_criterion_4_braid_group_relations():
     ok = True
     for d in (2, 3):
         for b1 in (B0, B1):
-            ok = ok and verify_zbn_relations(d, 3, TwistConfig(beta1=b1)).ok
-    ok = ok and verify_zbn_relations(2, 4, TwistConfig(beta1=B1)).ok
+            ok = ok and verify_zbn_relations(d, 3, b1).ok
+    ok = ok and verify_zbn_relations(2, 4, B1).ok
     _line(4, ok, "type-B relation suite exact on V2^(x3), V3^(x3) "
                  "(beta1 in {0,1}) and V2^(x4)")
 

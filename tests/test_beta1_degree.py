@@ -184,7 +184,7 @@ def test_coefficient_equation_sides_have_degree_a_plus_b(a, b):
 @pytest.mark.parametrize("d", (2, 3))
 def test_zbn_relation_sides_on_three_strands(d):
     gens = [[bundle.generator(i) for i in range(3)]
-            for bundle in (zbn_generators(d, 3, TwistConfig(beta1=b))
+            for bundle in (zbn_generators(d, 3, b)
                            for b in range(2 * d))]
     # the type-B relation, tau_0 tau_1 tau_0 tau_1 = tau_1 tau_0 tau_1 tau_0
     assert_degree([g[0] * g[1] * g[0] * g[1] for g in gens], 2 * (d - 1))
