@@ -37,7 +37,16 @@ print("R * R^-1 = identity:", r * r_inverse(2, 2) == QMatrix.identity(4))
 print()
 print("== Yang-Baxter on V2 (x) V3 (x) V2 ==")
 da, db, dc = 2, 3, 2
-from qweyl import flip
+
+
+def flip(da, db):
+    """The tensor flip V_a (x) V_b -> V_b (x) V_a: e_i (x) e_j -> e_j (x) e_i."""
+    entries = [[0] * (da * db) for _ in range(db * da)]
+    for i in range(da):
+        for j in range(db):
+            entries[j * da + i][i * db + j] = 1
+    return QMatrix(entries)
+
 
 r12 = kron(r_matrix(da, db), QMatrix.identity(dc))
 r23 = kron(QMatrix.identity(da), r_matrix(db, dc))

@@ -31,7 +31,6 @@ from .repn import (
     IrrepSpec,
     QMatrix,
     embed,
-    flip,
     irrep,
     kron,
     x_diagonal,

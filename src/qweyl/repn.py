@@ -16,6 +16,14 @@ from operator import mul
 from .qring import ONE, ZERO, RingElem, as_elem, dot, q_int
 
 
+def _times(a, b):
+    """a * b for nonzero ring elements; a factor that is ONE gives the other
+    one back without a multiplication."""
+    if a is ONE:
+        return b
+    return a if b is ONE else a * b
+
+
 class QMatrix:
     """Dense matrix over Q(x).  Immutable after construction."""
 
@@ -95,30 +103,34 @@ class QMatrix:
                         by_col.setdefault(j, []).append((a, b))
             row = [ZERO] * other.cols
             for j, pairs in by_col.items():
-                row[j] = pairs[0][0] * pairs[0][1] if len(pairs) == 1 else dot(pairs)
+                row[j] = _times(*pairs[0]) if len(pairs) == 1 else dot(pairs)
             out.append(tuple(row))
         return QMatrix._raw(self.rows, other.cols, tuple(out))
 
     def scale(self, s):
         s = as_elem(s)
+        if not s.num.terms:
+            return QMatrix.zeros(self.rows, self.cols)
         return QMatrix._raw(self.rows, self.cols, tuple(
-            tuple(a * s for a in row) for row in self.entries))
+            tuple(_times(a, s) if a.num.terms else a for a in row)
+            for row in self.entries))
 
     def kron(self, other):
-        """Kronecker product with index convention (i, j) -> i*cols_other + j."""
+        """Kronecker product with index convention (i, j) -> i*cols_other + j,
+        built from the nonzero entries of both factors."""
+        width = other.cols
+        nonzero_b = [[(q, b) for q, b in enumerate(row) if b.num.terms]
+                     for row in other.entries]
         entries = []
-        for i in range(self.rows):
-            for p in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    a = self.entries[i][j]
-                    if a.num.terms:
-                        row.extend(a * b for b in other.entries[p])
-                    else:
-                        row.extend([ZERO] * other.cols)
+        for row_a in self.entries:
+            nonzero_a = [(j * width, a) for j, a in enumerate(row_a) if a.num.terms]
+            for row_b in nonzero_b:
+                row = [ZERO] * (self.cols * width)
+                for base, a in nonzero_a:
+                    for q, b in row_b:
+                        row[base + q] = _times(a, b)
                 entries.append(tuple(row))
-        return QMatrix._raw(self.rows * other.rows, self.cols * other.cols,
-                            tuple(entries))
+        return QMatrix._raw(self.rows * other.rows, self.cols * width, tuple(entries))
 
     def inverse(self):
         """Exact inverse by Gauss-Jordan elimination over Q(x)."""
@@ -234,13 +246,35 @@ def powers(m, k):
 def tensor_series(terms):
     """Sum of c * (A_1 (x) ... (x) A_k) over the terms (c, A_1, ..., A_k).
 
-    With one leg per term this is the plain linear combination sum c * A.
+    Entry (i, j) of a Kronecker product is the product of the legs' entries
+    at the digits of i and j, so each term adds only the products of nonzero
+    leg entries, and the sum is kept as one {(row, col): entry} dict.  With
+    one leg per term this is the plain linear combination sum c * A.
     """
-    total = None
+    sums = {}
+    shape = None
     for c, *legs in terms:
-        term = reduce(kron, legs).scale(c)
-        total = term if total is None else total + term
-    return total
+        term_shape = (math.prod(m.rows for m in legs), math.prod(m.cols for m in legs))
+        shape = shape or term_shape
+        if term_shape != shape:
+            raise ValueError("shape mismatch: a %dx%d term in a %dx%d series"
+                             % (*term_shape, *shape))
+        c = as_elem(c)
+        # the term's nonzero entries as (row, col, value), one leg at a time
+        term = [(0, 0, c)] if c.num.terms else []
+        for m in legs:
+            nonzero = [(i, j, a) for i, row in enumerate(m.entries)
+                       for j, a in enumerate(row) if a.num.terms]
+            term = [(r * m.rows + i, s * m.cols + j, _times(v, a))
+                    for r, s, v in term for i, j, a in nonzero]
+        for r, s, v in term:
+            key = (r, s)
+            sums[key] = sums[key] + v if key in sums else v
+    if shape is None:
+        raise ValueError("a tensor series needs at least one term")
+    rows, cols = shape
+    return QMatrix._raw(rows, cols, tuple(tuple(sums.get((r, s), ZERO) for s in range(cols))
+                                          for r in range(rows)))
 
 
 def embed(m, left=1, right=1):
@@ -253,15 +287,6 @@ def embed(m, left=1, right=1):
 
 
 kron = QMatrix.kron
-
-
-def flip(da, db):
-    """The tensor flip V_a (x) V_b -> V_b (x) V_a."""
-    entries = [[ZERO] * (da * db) for _ in range(db * da)]
-    for i in range(da):
-        for j in range(db):
-            entries[j * da + i][i * db + j] = ONE
-    return QMatrix(entries)
 
 
 # ---------------------------------------------------------------------------

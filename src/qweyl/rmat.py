@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qring import ONE, q_factorial, q_power
-from .repn import flip, irrep, powers, tensor_series, x_diagonal
+from .repn import QMatrix, irrep, powers, tensor_series, x_diagonal
 
 
 @lru_cache(maxsize=None)
@@ -49,14 +49,21 @@ def r_inverse(da, db):
 
 @lru_cache(maxsize=None)
 def r21(da, db):
-    """R with its tensor legs exchanged, as an operator on V_a (x) V_b."""
-    return flip(db, da) * r_matrix(db, da) * flip(da, db)
+    """R with its tensor legs exchanged, as an operator on V_a (x) V_b: its
+    entry at rows (i, j), columns (k, l) is that of R on V_b (x) V_a at rows
+    (j, i), columns (l, k)."""
+    r = r_matrix(db, da).entries
+    swap = [j * da + i for i in range(da) for j in range(db)]
+    return QMatrix._raw(da * db, da * db,
+                        tuple(tuple(r[row][col] for col in swap) for row in swap))
 
 
 @lru_cache(maxsize=None)
 def braid_matrix(d):
-    """B = P R on V_d (x) V_d; satisfies the Yang-Baxter braid relation."""
-    return flip(d, d) * r_matrix(d, d)
+    """B = P R on V_d (x) V_d; satisfies the Yang-Baxter braid relation.
+    The flip P makes row i d + j of B row j d + i of R."""
+    r = r_matrix(d, d).entries
+    return QMatrix._raw(d * d, d * d, tuple(r[j * d + i] for i in range(d) for j in range(d)))
 
 
 @lru_cache(maxsize=None)

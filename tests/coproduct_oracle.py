@@ -1,12 +1,25 @@
-"""The coproduct of the sl2 generators on V_a (x) V_b, written out with kron.
+"""The coproduct of the sl2 generators on V_a (x) V_b, written out with kron,
+and the tensor flip.
 
 Delta(X) = X (x) K + K^-1 (x) X, likewise for Y, Delta(H) = H (x) 1 + 1 (x) H
 and Delta(K^+-1) = K^+-1 (x) K^+-1.  The R-matrix must intertwine Delta with
 its flip; the package builds R without these matrices, so the tests use them
-as an independent oracle.
+as an independent oracle.  The package builds R21 and B = P R by permuting
+the indices of R, so the flip matrix P lives here as their oracle too.
 """
 
-from qweyl.repn import QMatrix, flip, irrep, kron
+from qweyl.qring import ONE, ZERO
+from qweyl.repn import QMatrix, irrep, kron
+
+
+def flip(da, db):
+    """The tensor flip V_a (x) V_b -> V_b (x) V_a."""
+    entries = [[ZERO] * (da * db) for _ in range(db * da)]
+    for i in range(da):
+        for j in range(db):
+            entries[j * da + i][i * db + j] = ONE
+    return QMatrix(entries)
+
 
 _COPRODUCTS = {
     "X": lambda a, b: kron(a.X, b.K) + kron(a.Kinv, b.X),

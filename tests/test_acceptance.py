@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from qweyl.braidrep import verify_affine_relation, verify_zbn_relations
 from qweyl.qring import ONE, ZERO, LaurentPoly, RingElem, q_power
-from qweyl.repn import QMatrix, flip, irrep, kron
+from qweyl.repn import QMatrix, irrep, kron
 from qweyl.rmat import (
     drinfeld_u,
     r21,
@@ -31,7 +31,7 @@ from qweyl.twist import (
     _borel_series,
 )
 
-from coproduct_oracle import coproduct_gen, coproduct_gen_op
+from coproduct_oracle import coproduct_gen, coproduct_gen_op, flip
 
 B0 = RingElem.from_rational(0)
 B1 = ONE

@@ -25,6 +25,11 @@ GOLDEN = [
      "06a958d61bd17ad616c99edd1dc9f5ec2772298b070f0d4740a27b7e24fd7600"),
     (("rmatrix", "--dims", "3,2", "--format", "json"),
      "56ab9f8451287aabcac4aba3d327900257aee4d9bd82a17ab7f26726c60ab9ac"),
+    # R summed over the nonzero entries of E^n (x) F^n, both leg orders
+    (("rmatrix", "--dims", "5,4", "--format", "json"),
+     "00820c4580267b44b79cb4ac1d866cda1818594380c4ee4d274de9d188690aa8"),
+    (("rmatrix", "--dims", "4,5", "--format", "latex"),
+     "4702e0737f85b33a1ae489ba0037ad59d6a60f5996faa64453f9295b998bd779"),
     (("zbn", "--dim", "2", "--strands", "3", "--beta1", "1",
       "--word", "0 1 0' 2", "--format", "json"),
      "a52652482e446f8c18ea1afc19a14790e2b4d89d87f275d2e3a61f6b4089ad52"),

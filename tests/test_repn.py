@@ -7,7 +7,6 @@ from qweyl.qring import ONE, ZERO, LaurentPoly, RingElem, q_int, q_power
 from qweyl.repn import (
     QMatrix,
     embed,
-    flip,
     irrep,
     kron,
     powers,
@@ -15,6 +14,7 @@ from qweyl.repn import (
     x_diagonal,
 )
 
+from coproduct_oracle import flip
 from json_decode import matrix_from_json, through_text
 
 
@@ -33,6 +33,63 @@ def rand_matrix(rng, n):
                  for _ in range(rng.randint(0, 3))}
         return RingElem(LaurentPoly(terms))
     return QMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def mixed_entry(rng):
+    """ZERO, ONE, a distinct element equal to one, a zero that is not ZERO,
+    a Laurent polynomial or a rational function."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return ZERO
+    if kind == 1:
+        return ONE
+    if kind == 2:
+        return RingElem(1)
+    if kind == 3:
+        return RingElem(LaurentPoly({2: 1})) - x_pow(2)
+    if kind == 4:
+        return RingElem(LaurentPoly({rng.randint(-4, 4): Fraction(rng.randint(-3, 3) or 1, 2),
+                                     rng.randint(-4, 4): 1}))
+    return RingElem(LaurentPoly({rng.randint(-2, 2): rng.randint(1, 3)}),
+                    LaurentPoly({0: 1, 8: -rng.randint(2, 5)}))
+
+
+def mixed_matrix(rng, rows, cols, zero_row=None):
+    """A rows x cols matrix of mixed_entry values; row zero_row all ZERO."""
+    return QMatrix([[ZERO if i == zero_row else mixed_entry(rng) for _ in range(cols)]
+                    for i in range(rows)])
+
+
+# every kind of entry that the fast paths treat apart
+MIXED = QMatrix([[ZERO, ONE, RingElem(1)],
+                 [RingElem(LaurentPoly({0: 1}), LaurentPoly({0: 1, 8: -2})), x_pow(-3), ZERO]])
+
+
+def entry_kron(*legs):
+    """The Kronecker product of the legs from its entry formula: a_ij b_pq
+    is the entry (i rb + p, j cb + q) of A (x) B, with B of shape rb x cb."""
+    out = legs[0]
+    for b in legs[1:]:
+        rb, cb = b.rows, b.cols
+        entries = [[ZERO] * (out.cols * cb) for _ in range(out.rows * rb)]
+        for i in range(out.rows):
+            for j in range(out.cols):
+                for p in range(rb):
+                    for q in range(cb):
+                        entries[i * rb + p][j * cb + q] = out[(i, j)] * b[(p, q)]
+        out = QMatrix(entries)
+    return out
+
+
+def dense_series(terms):
+    """The sum of c * (A_1 (x) ... (x) A_k), added over every entry."""
+    total = None
+    for c, *legs in terms:
+        k = entry_kron(*legs)
+        term = [[c * k[(i, j)] for j in range(k.cols)] for i in range(k.rows)]
+        total = term if total is None else [[a + b for a, b in zip(ra, rb)]
+                                            for ra, rb in zip(total, term)]
+    return QMatrix(total)
 
 
 class TestQMatrix:
@@ -200,6 +257,20 @@ class TestKronFlip:
             p = flip(2, 2)
             assert p * kron(a, b) * p == kron(b, a)
 
+    def test_kron_and_scale_match_entry_formula(self):
+        rng = random.Random(31)
+        mats = [MIXED, mixed_matrix(rng, 3, 2, zero_row=1)]
+        mats += [mixed_matrix(rng, rng.randint(1, 3), rng.randint(1, 3)) for _ in range(6)]
+        scalars = (ZERO, ONE, RingElem(1), 0, 1, Fraction(-2, 3), x_pow(5),
+                   RingElem(LaurentPoly({1: 1}), LaurentPoly({0: 1, 8: 3})))
+        for a in mats:
+            for b in mats:
+                assert kron(a, b) == entry_kron(a, b)
+            for s in scalars:
+                expected = QMatrix([[a[(i, j)] * s for j in range(a.cols)]
+                                    for i in range(a.rows)])
+                assert a.scale(s) == expected, s
+
     def test_rectangular_flip(self):
         p = flip(2, 3)
         q = flip(3, 2)
@@ -241,6 +312,38 @@ class TestBuilders:
         assert tensor_series(zip(c, a, b)) == total
         plain = a[0].scale(c[0]) + a[1].scale(c[1])
         assert tensor_series([(c[0], a[0]), (c[1], a[1])]) == plain
+
+    def test_tensor_series_matches_entry_formula(self):
+        rng = random.Random(12)
+        c = [x_pow(3) - 2, RingElem(LaurentPoly({0: 1}), LaurentPoly({0: 1, 8: 1})), 5, ONE]
+
+        def legs(*shapes):
+            # the first leg of each term has a zero row
+            return [mixed_matrix(rng, r, k, zero_row=None if n else 0)
+                    for n, (r, k) in enumerate(shapes)]
+
+        cases = [
+            [(c[0], *legs((2, 3))), (c[1], *legs((2, 3))), (c[2], *legs((2, 3)))],
+            [(ck, *legs((2, 3), (3, 2))) for ck in c],
+            [(ck, *legs((2, 2), (1, 3), (2, 1))) for ck in c],
+            [(c[2], MIXED, MIXED), (RingElem(1), MIXED, MIXED), (0, MIXED, MIXED)],
+        ]
+        for terms in cases:
+            assert tensor_series(terms) == dense_series(terms)
+        # terms that cancel: c A (x) B - c A (x) B, and a third term left over
+        a, b, d, e = legs((2, 3), (3, 2), (2, 3), (3, 2))
+        assert tensor_series([(c[1], a, b), (-c[1], a, b)]) == QMatrix.zeros(6)
+        assert tensor_series([(c[1], a, b), (c[0], d, e), (-c[1], a, b)]) \
+            == dense_series([(c[0], d, e)])
+
+    def test_tensor_series_rejects_mixed_shapes_and_empty(self):
+        a, b = QMatrix.identity(2), QMatrix.identity(3)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            tensor_series([(ONE, a, a), (ONE, a, b)])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            tensor_series([(ONE, a), (ONE, a, a)])
+        with pytest.raises(ValueError, match="at least one term"):
+            tensor_series([])
 
     def test_embed_matches_kron_with_identities(self):
         rng = random.Random(10)

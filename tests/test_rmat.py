@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qweyl.qring import ONE, ZERO, RingElem, q_power
-from qweyl.repn import QMatrix, flip, irrep, kron
+from qweyl.repn import QMatrix, irrep, kron
 from qweyl.rmat import (
     braid_matrix,
     cartan_factor,
@@ -16,7 +16,7 @@ from qweyl.rmat import (
 )
 from qweyl.twist import weyl_w
 
-from coproduct_oracle import coproduct_gen, coproduct_gen_op
+from coproduct_oracle import coproduct_gen, coproduct_gen_op, flip
 
 
 def x_pow(k):
@@ -65,9 +65,11 @@ class TestRMatrix:
         assert r_inverse(2, 3) * r_matrix(2, 3) == QMatrix.identity(6)
 
     def test_r21_is_flip_conjugate(self):
-        for da, db in [(2, 2), (2, 3), (3, 2)]:
-            direct = flip(db, da) * r_matrix(db, da) * flip(da, db)
-            assert r21(da, db) == direct
+        # r21 permutes the indices of R; the oracle multiplies by the flips
+        for da in range(1, 8):
+            for db in range(1, 8):
+                direct = flip(db, da) * r_matrix(db, da) * flip(da, db)
+                assert r21(da, db) == direct, (da, db)
 
     def test_family_bundle(self):
         assert r_matrix(2, 3) * r_inverse(2, 3) == QMatrix.identity(6)
@@ -99,6 +101,11 @@ class TestYangBaxter:
 class TestBraidMatrix:
     def test_one_dimensional(self):
         assert braid_matrix(1) == QMatrix.identity(1)
+
+    def test_flip_times_r(self):
+        # braid_matrix permutes the rows of R; the oracle multiplies by the flip
+        for d in range(1, 8):
+            assert braid_matrix(d) == flip(d, d) * r_matrix(d, d), d
 
     def test_braid_relation(self):
         for d in (2, 3):

@@ -30,7 +30,7 @@ from qweyl.repn import (
 )
 from qweyl.reports import matrix_check
 from qweyl.rmat import cartan_factor, conjugated_r, r_inverse, r_matrix, r21
-from qweyl import cli, reports, twist
+from qweyl import cli, qring, repn, reports, rmat, twist
 from qweyl.twist import (
     BETA1_CACHE_SIZE,
     BRACKET_CACHE_SIZE,
@@ -39,6 +39,7 @@ from qweyl.twist import (
     TwistConfig,
     beta_coeffs,
     bracket_coeff,
+    braid_form_sides,
     compare_reference_matrix,
     coproduct_t,
     coproduct_z,
@@ -278,6 +279,33 @@ class TestFourBraid:
         assert rep.ok and len(rep.checks) == 2
         rep = verify_four_braid(2, 3, TwistConfig(beta1=B1))
         assert rep.ok and len(rep.checks) == 1
+
+    def test_sides_build_without_zero_products(self, monkeypatch):
+        # the construction reads nonzero entries only; dense kron and scale
+        # made 14,150 products with a zero operand here
+        for module in (qring, repn, rmat, twist):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        zero_operand = []
+        mul = RingElem.__mul__
+
+        def counted(a, b):
+            if not a or b == 0:
+                zero_operand.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(RingElem, "__mul__", counted)
+        monkeypatch.setattr(RingElem, "__rmul__", counted)
+        cfg = TwistConfig(beta1=3)
+        for da in range(1, 6):
+            for db in range(1, 6):
+                ta, tb = twist_t(da, cfg), twist_t(db, cfg)
+                four_braid_sides(da, db, ta, tb)
+                if da == db:
+                    braid_form_sides(da, ta)
+        assert r_matrix.cache_info().currsize == 25
+        assert len(zero_operand) == 0
 
 
 class TestCoproducts:
