@@ -44,9 +44,10 @@ from .twist import (
 
 MAX_COEFF_INDEX = 16
 """Largest coefficient index that `coeffs --count`, `verify --max-sum` and
-`twist --dim` (index d - 1) accept.  The tables grow fast: beta_coeffs(16,
-x^4) takes about 0.34 s on a 2-vCPU host (Python 3.11.7), and each further
-index adds about 40%."""
+`twist --dim` (index d - 1) accept.  On a 2-vCPU host (Python 3.11.7)
+beta_coeffs(16, x^4) takes about 5 ms and beta_coeffs(29, x^4) about 50 ms,
+but the entries grow with beta1: `coeffs --count 16 --beta1 "(1+x)^64"`
+takes 0.6-1.0 s."""
 
 MAX_VERIFY_DIM = 7
 """Largest `verify --max-dim` and `verify zbn --dim`, a bound on time:

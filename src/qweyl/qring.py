@@ -520,7 +520,8 @@ class RingElem:
     def to_json(self):
         out = {}
         for key, poly in (("num", self.num), ("den", self.den)):
-            coeffs = poly.coefficients()
+            # an integer polynomial's numerators are its coefficients
+            coeffs = poly.terms if poly.denom == 1 else poly.coefficients()
             out[key] = [[e, str(coeffs[e])] for e in sorted(coeffs)]
         return out
 

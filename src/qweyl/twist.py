@@ -6,7 +6,9 @@ the coefficient recursion
 
     beta_{a+1} = (beta_a beta_1 + beta_{a-1} (q^-1 - 1) q^((1-a)/2)) / [a+1]
 
-with beta_0 = 1 and beta_1 a free parameter of the solution family.
+with beta_0 = 1 and beta_1 a free parameter of the solution family.  The
+tables come from the division-free recursions of the primed coefficients
+beta_m [m]! and alpha_m [m]! (see `beta_coeffs`).
 Everything here is exact over Q(x); the only numeric op is the comparison
 against the known closed-form matrices in dimensions 2, 3, 4, whose
 entries involve square roots and therefore live outside Q(x).
@@ -82,25 +84,26 @@ CoeffTable = namedtuple("CoeffTable", "betas beta_primes alphas")
 
 @lru_cache(maxsize=BETA1_CACHE_SIZE)
 def beta_coeffs(n_max, beta1):
-    """Coefficient tables up to index n_max for the given beta_1."""
+    """Coefficient tables up to index n_max for the given beta_1.
+
+    The primed coefficients follow three-term recursions without division:
+
+        beta'_(a+1) = beta_1 beta'_a + (q^-a - 1) beta'_(a-1),
+        alpha'_(a+1) = -beta_1 q^-a alpha'_a + (q^(1-a) - q^(1-2a)) alpha'_(a-1),
+
+    from beta'_0 = alpha'_0 = 1 and beta'_1 = -alpha'_1 = beta_1.  The first
+    is the defining recursion times [a]!, as (q^-1 - 1) q^((1-a)/2) [a] =
+    q^-a - 1; the second makes alpha_m = alpha'_m / [m]! the inverse series.
+    """
     beta1 = as_elem(beta1)
-    betas = [ONE]
-    if n_max >= 1:
-        betas.append(beta1)
-    qm1 = q_power(-1) - ONE
+    primes, alpha_primes = [ONE, beta1][:n_max + 1], [ONE, -beta1][:n_max + 1]
     for a in range(1, n_max):
-        nxt = (betas[a] * beta1
-               + betas[a - 1] * qm1 * q_power(Fraction(1 - a, 2))) / q_int(a + 1)
-        betas.append(nxt)
-    beta_primes = [betas[m] * q_factorial(m) for m in range(n_max + 1)]
-    alphas = [ONE]
-    for a in range(1, n_max + 1):
-        acc = ZERO
-        for m in range(1, a + 1):
-            acc = acc + betas[m] * alphas[a - m] * q_power(Fraction(-m * (a - m), 2))
-        alphas.append(-acc)
-    return CoeffTable(betas=tuple(betas), beta_primes=tuple(beta_primes),
-                      alphas=tuple(alphas))
+        primes.append(beta1 * primes[a] + (q_power(-a) - ONE) * primes[a - 1])
+        alpha_primes.append(-beta1 * q_power(-a) * alpha_primes[a]
+                            + (q_power(1 - a) - q_power(1 - 2 * a)) * alpha_primes[a - 1])
+    return CoeffTable(betas=tuple(p / q_factorial(m) for m, p in enumerate(primes)),
+                      beta_primes=tuple(primes),
+                      alphas=tuple(p / q_factorial(m) for m, p in enumerate(alpha_primes)))
 
 
 @lru_cache(maxsize=None)
@@ -110,16 +113,26 @@ def series_coeff_B(n):
         * q_power(Fraction(-n * n, 2))
 
 
+@lru_cache(maxsize=None)
+def _bracket_factor(n):
+    """The part of bracket_coeff(a, b, n) that depends on n alone:
+    [n]! q^((3n+n^2)/4) (q^-1 - 1)^n."""
+    return (q_factorial(n) * q_power(Fraction(3 * n + n * n, 4))
+            * (q_power(-1) - ONE) ** n)
+
+
 @lru_cache(maxsize=BRACKET_CACHE_SIZE)
 def bracket_coeff(a, b, n):
     """The two-index series coefficient tying the primed recursion to the
-    doubled sum; zero for negative n."""
+    doubled sum,
+
+        [a over n] [b over n] [n]! q^(-n(a+b)/2) q^((3n+n^2)/4) (q^-1 - 1)^n,
+
+    zero for negative n."""
     if n < 0:
         return ZERO
-    return (q_binomial(a, n) * q_binomial(b, n) * q_factorial(n)
-            * q_power(Fraction(-n * (a + b), 2))
-            * q_power(Fraction(3 * n, 4) + Fraction(n * n, 4))
-            * (q_power(-1) - ONE) ** n)
+    return (q_binomial(a, n) * q_binomial(b, n)
+            * (_bracket_factor(n) * q_power(Fraction(-n * (a + b), 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +156,9 @@ def zhat(d, beta1):
 
 @lru_cache(maxsize=BETA1_CACHE_SIZE)
 def zhat_inverse(d, beta1):
-    """Inverse of zhat via the coefficient recursion
-    alpha_a = -sum_{m=1..a} beta_m alpha_{a-m} q^(-m(a-m)/2), alpha_0 = 1."""
+    """Inverse of zhat, sum_m alpha_m q^(-Hm/4) Y^m, whose coefficients
+    solve alpha_a = -sum_{m=1..a} beta_m alpha_{a-m} q^(-m(a-m)/2),
+    alpha_0 = 1."""
     return _borel_series(d, beta_coeffs(d - 1, beta1).alphas)
 
 

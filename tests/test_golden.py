@@ -43,6 +43,12 @@ GOLDEN = [
      "3462b5837bac2e11fd93e1433a6d79bdc8b7815dcebde857cec56e5b7d201cf3"),
     (("coeffs", "--count", "8", "--beta1", "x^4/2-3/2", "--format", "json"),
      "e368155a200779cc5f7a8f9bdc0d6f9f5d47d4e713dd9dddda9bd23ac7f64fa3"),
+    # the tables to the index limit through the division-free recursions:
+    # a Laurent beta1 in JSON, a rational-function one in plain text
+    (("coeffs", "--count", "16", "--beta1", "2*x^4-3*x^-4", "--format", "json"),
+     "d68d69cf76a16b881527369578536ba32f0404494313b375b2b276e861225d09"),
+    (("coeffs", "--count", "12", "--beta1", "1/(q-2)"),
+     "a4998704cf895423fceb376c6423cefd68263ccd26ff0d3bc81d747b8403429e"),
     (("zbn", "--dim", "2", "--strands", "3", "--beta1", "1/3",
       "--word", "0 1 0' 2", "--at-q", "0.7"),
      "84492747ba0f8658e15e39ecafa3ad8b4ac1b92a61c10851fe755a0199e1573c"),

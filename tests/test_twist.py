@@ -12,6 +12,7 @@ from qweyl.qring import (
     Q_BINOMIAL_CACHE_SIZE,
     ZERO,
     RingElem,
+    parse_ring_elem,
     q_binomial,
     q_factorial,
     q_int,
@@ -60,6 +61,8 @@ from qweyl.twist import (
     zhat_inverse,
 )
 
+import coeff_oracle
+
 B0 = RingElem.from_rational(0)
 B1 = ONE
 BX4 = RingElem.x_power(4)
@@ -86,18 +89,49 @@ class TestCoefficients:
             assert table.betas[a] == ZERO
 
     def test_primed_definition(self):
+        # beta'_a = beta_a [a]!, with beta_a from the defining recursion
         for b1 in (B0, B1, BX4):
             table = beta_coeffs(8, b1)
+            betas = coeff_oracle.betas(8, b1)
             for a in range(9):
-                assert table.beta_primes[a] == table.betas[a] * q_factorial(a)
+                assert table.beta_primes[a] == betas[a] * q_factorial(a)
 
     def test_primed_recursion(self):
-        # beta'_{a+1} = beta'_1 beta'_a + beta'_{a-1} (q^-a - 1)
+        # beta'_{a+1} = beta'_1 beta'_a + beta'_{a-1} (q^-a - 1) and
+        # alpha'_{a+1} = -beta'_1 q^-a alpha'_a + (q^(1-a) - q^(1-2a)) alpha'_{a-1},
+        # read on the oracle's table, which neither recursion builds
         for b1 in (B0, B1, BX4):
-            table = beta_coeffs(13, b1)
+            table = coeff_oracle.coeff_table(13, b1)
             bp = table.beta_primes
+            ap = [alpha * q_factorial(a) for a, alpha in enumerate(table.alphas)]
             for a in range(1, 12):
                 assert bp[a + 1] == bp[1] * bp[a] + bp[a - 1] * (q_power(-a) - ONE)
+                assert ap[a + 1] == (-bp[1] * q_power(-a) * ap[a]
+                                     + (q_power(1 - a) - q_power(1 - 2 * a)) * ap[a - 1])
+
+    @pytest.mark.parametrize("b1", ["0", "1", "7/2", "-3", "x^4+1", "2*x^4-3*x^-4",
+                                    "1/(q-2)"])
+    def test_table_matches_oracle(self, b1):
+        b1 = parse_ring_elem(b1)
+        got, want = beta_coeffs(12, b1), coeff_oracle.coeff_table(12, b1)
+        for field in CoeffTable._fields:
+            for m, (g, w) in enumerate(zip(getattr(got, field), getattr(want, field),
+                                           strict=True)):
+                assert g == w, (field, m)
+
+    def test_tables_proved_for_every_beta1(self):
+        # beta'_a and alpha'_a are polynomials of degree a in beta1: each step
+        # of either recursion multiplies by beta1 at most once.  So agreement
+        # with the oracle at the 18 points beta1 = 0..17, for every
+        # a <= MAX_COEFF_INDEX = 16, proves both recursions for every beta1
+        # (a nonzero polynomial of degree <= 16 has at most 16 roots).
+        n_max = cli.MAX_COEFF_INDEX
+        for b1 in range(n_max + 2):
+            table = beta_coeffs(n_max, b1)
+            bp = [b * q_factorial(m) for m, b in enumerate(coeff_oracle.betas(n_max, b1))]
+            assert table.beta_primes == tuple(bp), b1
+            assert [a * q_factorial(m) for m, a in enumerate(table.alphas)] \
+                == coeff_oracle.alpha_primes(bp), b1
 
     def test_inverse_coefficients(self):
         table = beta_coeffs(4, B1)
@@ -114,6 +148,17 @@ class TestCoefficients:
                 assert bracket_coeff(a, b, 0) == ONE
         assert bracket_coeff(3, 3, -1) == ZERO
         assert bracket_coeff(2, 3, 5) == ZERO
+
+    def test_bracket_coeff_closed_product(self):
+        # [a over n] [b over n] [n]! q^(-n(a+b)/2) q^((3n+n^2)/4) (q^-1 - 1)^n
+        for a in range(9):
+            for b in range(9):
+                for n in range(10):
+                    closed = (q_binomial(a, n) * q_binomial(b, n) * q_factorial(n)
+                              * q_power(Fraction(-n * (a + b), 2))
+                              * q_power(Fraction(3 * n + n * n, 4))
+                              * (q_power(-1) - ONE) ** n)
+                    assert bracket_coeff(a, b, n) == closed, (a, b, n)
 
 
 class TestBorelFactor:
