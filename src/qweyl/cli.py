@@ -50,13 +50,21 @@ but the entries grow with beta1: `coeffs --count 16 --beta1 "(1+x)^64"`
 takes 0.6-1.0 s."""
 
 MAX_VERIFY_DIM = 7
-"""Largest `verify --max-dim` and `verify zbn --dim`, a bound on time:
-`verify all --max-dim d --beta1 "x^4+1"` took 2.4 s at d = 6 and 10.8 s at
-d = 7 on a 2-vCPU host (Python 3.11.7), single runs, against 6.1 s and
-25.4 s when every four-braid side was an exact product; d = 8 took 99.3 s
-then.  `verify zbn --dim 7 --strands 2` took 0.7 s and `--dim 6 --strands 3`
-1.2 s; the type-B relation alone took 42.5 s at d = 11 and grows about 3x
-per step."""
+"""Largest `verify --max-dim`, `verify zbn --dim` and exact `zbn --dim`, a
+bound on time: `verify all --max-dim d --beta1 "x^4+1"` took 2.4 s at d = 6
+and 10.8 s at d = 7 on a 2-vCPU host (Python 3.11.7), single runs, against
+6.1 s and 25.4 s when every four-braid side was an exact product; d = 8 took
+99.3 s then.  `verify zbn --dim 7 --strands 2` took 0.7 s and `--dim 6
+--strands 3` 1.2 s; the type-B relation alone took 42.5 s at d = 11 and
+grows about 3x per step.  `zbn --dim d --strands 2 --word "0 1 0' 1'"` took
+0.2 s at d = 7, 0.4 s at d = 8, 0.8-0.9 s at d = 9 and 115.7 s with a
+505 MB peak at d = 16, most of it Gauss-Jordan on the d^2-row B."""
+
+
+def _check_verify_dim(d, option):
+    if d > MAX_VERIFY_DIM:
+        raise ValueError("%s %d exceeds the limit %d on the dimensions verified"
+                         % (option, d, MAX_VERIFY_DIM))
 
 
 def _check_coeff_index(n, option):
@@ -296,6 +304,7 @@ def _cmd_zbn(args, out):
             result = result @ (gens[idx] if exp == 1 else inverses[idx])
         _print_numeric(result, args.format, out)
         return 0
+    _check_verify_dim(args.dim, "--dim")
     bundle = zbn_generators(args.dim, args.strands, beta1)
     _print_matrix(eval_braid_word(word, bundle), args.format, None, out)
     return 0
@@ -345,12 +354,9 @@ def _verify_reports(args):
                          "at least 1" % args.max_dim)
     # the largest exact matrix is a product on V_d (x) V_d, d = --max-dim
     check_exact_rows(args.max_dim ** 2, "--max-dim %d" % args.max_dim)
-    if args.max_dim > MAX_VERIFY_DIM:
-        raise ValueError("--max-dim %d exceeds the limit %d on the dimensions verified"
-                         % (args.max_dim, MAX_VERIFY_DIM))
-    if args.suite == "zbn" and args.dim > MAX_VERIFY_DIM:
-        raise ValueError("--dim %d exceeds the limit %d on the dimensions verified"
-                         % (args.dim, MAX_VERIFY_DIM))
+    _check_verify_dim(args.max_dim, "--max-dim")
+    if args.suite == "zbn":
+        _check_verify_dim(args.dim, "--dim")
     _check_coeff_index(args.max_sum, "--max-sum")
     beta1 = parse_ring_elem(args.beta1)
     if args.suite == "all":

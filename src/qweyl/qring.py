@@ -295,7 +295,9 @@ def _int_heu_gcd(pa, pb):
     xi >= 2 min(|pa|, |pb|) + 2 in the max-norm, the primitive part of the
     polynomial whose symmetric base-xi digits are gcd(pa(xi), pb(xi)) is
     the gcd as soon as it divides both.  A constant candidate divides
-    everything, so its cofactors are pa and pb themselves.
+    everything, so its cofactors are pa and pb themselves.  A rejected
+    candidate grows xi to 73794 xi isqrt(isqrt(xi)) / 27011, the step of
+    SymPy's dup_zz_heu_gcd.
     """
     xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 29
     for _ in range(HEU_GCD_TRIES):
@@ -323,7 +325,7 @@ def _int_heu_gcd(pa, pb):
                         _int_exact_quotient(pb, cand))
             except ArithmeticError:
                 pass
-        xi = xi * 73794 // 27011
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
 

@@ -73,17 +73,13 @@ class QMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        self._same_shape(other)
-        return QMatrix._raw(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        return tensor_series(((ONE, self), (ONE, other)))
 
     def __sub__(self, other):
-        return self + -other
+        return tensor_series(((ONE, self), (-ONE, other)))
 
     def __neg__(self):
-        return QMatrix._raw(self.rows, self.cols, tuple(
-            tuple(-a for a in row) for row in self.entries))
+        return tensor_series(((-ONE, self),))
 
     def __mul__(self, other):
         if not isinstance(other, QMatrix):
@@ -108,29 +104,11 @@ class QMatrix:
         return QMatrix._raw(self.rows, other.cols, tuple(out))
 
     def scale(self, s):
-        s = as_elem(s)
-        if not s.num.terms:
-            return QMatrix.zeros(self.rows, self.cols)
-        return QMatrix._raw(self.rows, self.cols, tuple(
-            tuple(_times(a, s) if a.num.terms else a for a in row)
-            for row in self.entries))
+        return tensor_series(((s, self),))
 
     def kron(self, other):
-        """Kronecker product with index convention (i, j) -> i*cols_other + j,
-        built from the nonzero entries of both factors."""
-        width = other.cols
-        nonzero_b = [[(q, b) for q, b in enumerate(row) if b.num.terms]
-                     for row in other.entries]
-        entries = []
-        for row_a in self.entries:
-            nonzero_a = [(j * width, a) for j, a in enumerate(row_a) if a.num.terms]
-            for row_b in nonzero_b:
-                row = [ZERO] * (self.cols * width)
-                for base, a in nonzero_a:
-                    for q, b in row_b:
-                        row[base + q] = _times(a, b)
-                entries.append(tuple(row))
-        return QMatrix._raw(self.rows * other.rows, self.cols * width, tuple(entries))
+        """Kronecker product with index convention (i, j) -> i*cols_other + j."""
+        return tensor_series(((ONE, self, other),))
 
     def inverse(self):
         """Exact inverse by Gauss-Jordan elimination over Q(x)."""
@@ -155,10 +133,6 @@ class QMatrix:
         return QMatrix._raw(n, n, tuple(tuple(row[n:]) for row in work))
 
     # -- predicates -----------------------------------------------------------
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
@@ -273,17 +247,15 @@ def tensor_series(terms):
     if shape is None:
         raise ValueError("a tensor series needs at least one term")
     rows, cols = shape
-    return QMatrix._raw(rows, cols, tuple(tuple(sums.get((r, s), ZERO) for s in range(cols))
-                                          for r in range(rows)))
+    out = [[ZERO] * cols for _ in range(rows)]
+    for (r, s), v in sums.items():
+        out[r][s] = v
+    return QMatrix._raw(rows, cols, tuple(map(tuple, out)))
 
 
 def embed(m, left=1, right=1):
     """The leg embedding 1_left (x) m (x) 1_right."""
-    if left > 1:
-        m = kron(QMatrix.identity(left), m)
-    if right > 1:
-        m = kron(m, QMatrix.identity(right))
-    return m
+    return tensor_series(((ONE, QMatrix.identity(left), m, QMatrix.identity(right)),))
 
 
 kron = QMatrix.kron

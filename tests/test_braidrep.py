@@ -84,6 +84,9 @@ class TestBundle:
         zbn_generators(2, 3, B1)
         with pytest.raises(ValueError):
             zbn_generators(2, 4, B1)
+        # three rows, but a braid matrix of nine
+        with pytest.raises(ValueError, match="braid matrix"):
+            zbn_generators(3, 1, B1)
         monkeypatch.setattr(braidrep, "MAX_EXACT_DIM", 16)
         zbn_generators(2, 4, B1)
 

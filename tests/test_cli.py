@@ -353,7 +353,8 @@ class TestSizeLimits:
         ("zbn", "--dim", "3", "--strands", "1000000000", "--word", "0"),
         ("zbn", "--dim", "1", "--strands", "1000", "--word", "0"),
         ("zbn", "--dim", "5000", "--strands", "1", "--word", "0", "--at-q", "0.7"),
-        # a one-strand bundle of 17 rows whose braid matrix has 289
+        # a one-strand bundle of 17 rows, above the dimension limit, whose
+        # braid matrix has 289
         ("zbn", "--dim", "17", "--strands", "1", "--word", "0"),
         # the twist on V_d needs the coefficient index d - 1
         ("twist", "--dim", "18"),
@@ -371,6 +372,7 @@ class TestSizeLimits:
         ("verify", "all", "--max-dim", str(cli.MAX_VERIFY_DIM + 1)),
         ("verify", "zbn", "--dim", "8"),
         ("verify", "zbn", "--dim", "16", "--strands", "2"),
+        ("zbn", "--dim", "16", "--strands", "2", "--word", "0 1 0' 1'"),
     ]
 
     @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)

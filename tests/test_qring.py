@@ -22,7 +22,7 @@ from qweyl.qring import (
     q_int,
     q_power,
 )
-from qweyl.twist import TwistConfig, twist_t
+from qweyl.twist import TwistConfig, beta_coeffs, twist_t
 
 from json_decode import elem_from_json, through_text
 
@@ -273,6 +273,25 @@ class TestHeuristicGcd:
         assert seen == {"dense", "constant", "monomial", "stride", "negative lead",
                         "above 2^64"}
         assert heu_used >= 290
+
+    def test_factorial_divisions_need_no_prs(self, monkeypatch):
+        # the gcd of a primed entry and [m]! has a far larger max-norm than
+        # the entry that sets the first xi, so xi must grow fast enough to
+        # reach it within HEU_GCD_TRIES points
+        calls = []
+
+        def counted(pa, pb):
+            calls.append((pa, pb))
+            return prs_gcd(pa, pb)
+
+        prs_gcd = qring._int_prs_gcd
+        monkeypatch.setattr(qring, "_int_prs_gcd", counted)
+        beta_coeffs.cache_clear()
+        try:
+            beta_coeffs(16, 0)
+        finally:
+            beta_coeffs.cache_clear()
+        assert calls == []
 
 
 class TestIntegerStorage:

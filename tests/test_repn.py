@@ -119,6 +119,26 @@ class TestQMatrix:
         with pytest.raises(ValueError):
             QMatrix.zeros(2, 3) * QMatrix.zeros(2, 3)
 
+    def test_sums_match_entry_formula(self):
+        rng = random.Random(14)
+        pairs = [(MIXED, MIXED), (MIXED, mixed_matrix(rng, 2, 3, zero_row=0))]
+        pairs += [(mixed_matrix(rng, r, k), mixed_matrix(rng, r, k, zero_row=r - 1))
+                  for r, k in ((1, 1), (3, 2), (2, 4), (4, 4))]
+        for a, b in pairs:
+            def entrywise(f):
+                return QMatrix([[f(a[(i, j)], b[(i, j)]) for j in range(a.cols)]
+                                for i in range(a.rows)])
+
+            assert a + b == entrywise(lambda u, v: u + v)
+            assert a - b == entrywise(lambda u, v: u - v)
+            assert -a == entrywise(lambda u, v: -u)
+            assert (a - a).is_zero
+        for a, b in ((MIXED, QMatrix.identity(2)), (QMatrix.zeros(2, 3), QMatrix.zeros(3, 2))):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                a + b
+            with pytest.raises(ValueError, match="shape mismatch"):
+                a - b
+
     def test_json_round_trip(self):
         rng = random.Random(6)
         m = rand_matrix(rng, 3)
@@ -306,12 +326,9 @@ class TestBuilders:
         a = [rand_matrix(rng, 2) for _ in range(3)]
         b = [rand_matrix(rng, 3) for _ in range(3)]
         c = [x_pow(k) + k for k in range(3)]
-        total = QMatrix.zeros(6)
-        for k in range(3):
-            total = total + kron(a[k], b[k]).scale(c[k])
-        assert tensor_series(zip(c, a, b)) == total
-        plain = a[0].scale(c[0]) + a[1].scale(c[1])
-        assert tensor_series([(c[0], a[0]), (c[1], a[1])]) == plain
+        assert tensor_series(zip(c, a, b)) == dense_series(zip(c, a, b))
+        plain = [(c[0], a[0]), (c[1], a[1])]
+        assert tensor_series(plain) == dense_series(plain)
 
     def test_tensor_series_matches_entry_formula(self):
         rng = random.Random(12)
@@ -350,6 +367,6 @@ class TestBuilders:
         m = rand_matrix(rng, 2)
         i2, i3 = QMatrix.identity(2), QMatrix.identity(3)
         assert embed(m) == m
-        assert embed(m, left=3) == kron(i3, m)
-        assert embed(m, right=2) == kron(m, i2)
-        assert embed(m, left=2, right=3) == kron(kron(i2, m), i3)
+        assert embed(m, left=3) == entry_kron(i3, m)
+        assert embed(m, right=2) == entry_kron(m, i2)
+        assert embed(m, left=2, right=3) == entry_kron(i2, m, i3)
