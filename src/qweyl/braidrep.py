@@ -18,6 +18,9 @@ from .twist import TwistConfig, braid_form_sides, twist_t
 MAX_EXACT_DIM = 256
 """Row ceiling for exact work; raise it only with a recorded timing."""
 
+MAX_WORD_WORK = 4096
+"""Ceiling on letters times rows of an exact word; README "Size limits" has its times."""
+
 MAX_NUMERIC_DIM = 1024
 """Row and strand ceiling for numeric bundles, whose generators are dense
 complex matrices: 16 MiB each at 1024 rows."""
@@ -97,13 +100,17 @@ def _factors(d, n, beta1):
     return RepBundle(d, n, twist_t(d, TwistConfig(beta1)), braid_matrix(d))
 
 
-def zbn_generators(d, n, beta1):
-    """The bundle at beta1 on V_d^(x n), refused above the exact-mode row ceiling."""
+def zbn_generators(d, n, beta1, letters=0):
+    """The bundle at beta1 on V_d^(x n), refused above the exact-mode row
+    ceiling, or above MAX_WORD_WORK for a word of `letters` letters."""
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
     # the strand count is tested first, so that d ** n stays small
     check_exact_rows(n, "a bundle on %d strands" % n)
     check_exact_rows(d ** n, "the bundle V%d^(x%d)" % (d, n))
+    if letters * d ** n > MAX_WORD_WORK:
+        raise ValueError("a word of %d letters on V%d^(x%d) exceeds the limit %d on "
+                         "letters times rows" % (letters, d, n, MAX_WORD_WORK))
     return _factors(d, n, beta1)
 
 

@@ -51,14 +51,12 @@ takes 0.6-1.0 s."""
 
 MAX_VERIFY_DIM = 7
 """Largest `verify --max-dim`, `verify zbn --dim` and exact `zbn --dim`, a
-bound on time: `verify all --max-dim d --beta1 "x^4+1"` took 2.4 s at d = 6
-and 10.8 s at d = 7 on a 2-vCPU host (Python 3.11.7), single runs, against
-6.1 s and 25.4 s when every four-braid side was an exact product; d = 8 took
-99.3 s then.  `verify zbn --dim 7 --strands 2` took 0.7 s and `--dim 6
---strands 3` 1.2 s; the type-B relation alone took 42.5 s at d = 11 and
-grows about 3x per step.  `zbn --dim d --strands 2 --word "0 1 0' 1'"` took
-0.2 s at d = 7, 0.4 s at d = 8, 0.8-0.9 s at d = 9 and 115.7 s with a
-505 MB peak at d = 16, most of it Gauss-Jordan on the d^2-row B."""
+bound on time on a 2-vCPU host (Python 3.11.7): `verify all --max-dim d
+--beta1 "x^4+1"` took 2.4 s at d = 6, 10.8 s at d = 7 and 99.3 s at d = 8
+with exact four-braid sides.  `verify zbn --dim 7 --strands 2` took 0.5 s and
+`--dim 6 --strands 3` 0.9-1.2 s; the type-B relation alone took 35 s at
+d = 11.  `zbn --dim d --strands 2 --word "0 1 0' 1'"` took 0.2 s at d = 7,
+0.9 s at d = 9 and 115.7 s (505 MB) at d = 16, mostly Gauss-Jordan on B."""
 
 
 def _check_verify_dim(d, option):
@@ -305,7 +303,7 @@ def _cmd_zbn(args, out):
         _print_numeric(result, args.format, out)
         return 0
     _check_verify_dim(args.dim, "--dim")
-    bundle = zbn_generators(args.dim, args.strands, beta1)
+    bundle = zbn_generators(args.dim, args.strands, beta1, len(word.letters))
     _print_matrix(eval_braid_word(word, bundle), args.format, None, out)
     return 0
 

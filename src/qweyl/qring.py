@@ -452,6 +452,11 @@ class RingElem:
             return ZERO
         if self.den.is_one and other.den.is_one:
             return RingElem._raw(self.num * other.num, _P_ONE)
+        # a monomial factor is a unit: it shares no factor with a denominator
+        if self.den.is_one and len(self.num.terms) == 1:
+            return RingElem._raw(self.num * other.num, other.den)
+        if other.den.is_one and len(other.num.terms) == 1:
+            return RingElem._raw(self.num * other.num, self.den)
         # cross-cancel before multiplying so gcds stay small
         a, b = self.num, self.den
         c, d = other.num, other.den

@@ -25,9 +25,9 @@ def _times(a, b):
 
 
 class QMatrix:
-    """Dense matrix over Q(x).  Immutable after construction."""
+    """Dense matrix over Q(x); immutable, so its index of nonzeros is built once."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_nonzero")
 
     def __init__(self, entries):
         rows = tuple(tuple(as_elem(v) for v in row) for row in entries)
@@ -39,6 +39,7 @@ class QMatrix:
         self.rows = len(rows)
         self.cols = cols
         self.entries = rows
+        self._nonzero = None
 
     @classmethod
     def _raw(cls, rows, cols, entries):
@@ -46,6 +47,7 @@ class QMatrix:
         m.rows = rows
         m.cols = cols
         m.entries = entries
+        m._nonzero = None
         return m
 
     @classmethod
@@ -70,6 +72,13 @@ class QMatrix:
         i, j = key
         return self.entries[i][j]
 
+    def nonzero_rows(self):
+        """Per row, the (column, entry) pairs of its nonzero entries."""
+        if self._nonzero is None:
+            self._nonzero = tuple(tuple((j, a) for j, a in enumerate(row) if a.num.terms)
+                                  for row in self.entries)
+        return self._nonzero
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -87,16 +96,14 @@ class QMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch: %dx%d times %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        nonzero_b = [[(j, b) for j, b in enumerate(row) if b.num.terms]
-                     for row in other.entries]
+        nonzero_b = other.nonzero_rows()
         out = []
-        for row_a in self.entries:
+        for row_a in self.nonzero_rows():
             # output column -> the (a, b) pairs whose products sum to it
             by_col = {}
-            for a, row_b in zip(row_a, nonzero_b):
-                if a.num.terms:
-                    for j, b in row_b:
-                        by_col.setdefault(j, []).append((a, b))
+            for k, a in row_a:
+                for j, b in nonzero_b[k]:
+                    by_col.setdefault(j, []).append((a, b))
             row = [ZERO] * other.cols
             for j, pairs in by_col.items():
                 row[j] = _times(*pairs[0]) if len(pairs) == 1 else dot(pairs)
@@ -145,7 +152,7 @@ class QMatrix:
 
     @property
     def is_zero(self):
-        return all(not a.num.terms for row in self.entries for a in row)
+        return not any(self.nonzero_rows())
 
     def first_difference(self, other):
         """Position and values of the first differing entry, or None."""
@@ -237,8 +244,7 @@ def tensor_series(terms):
         # the term's nonzero entries as (row, col, value), one leg at a time
         term = [(0, 0, c)] if c.num.terms else []
         for m in legs:
-            nonzero = [(i, j, a) for i, row in enumerate(m.entries)
-                       for j, a in enumerate(row) if a.num.terms]
+            nonzero = [(i, j, a) for i, row in enumerate(m.nonzero_rows()) for j, a in row]
             term = [(r * m.rows + i, s * m.cols + j, _times(v, a))
                     for r, s, v in term for i, j, a in nonzero]
         for r, s, v in term:
@@ -272,19 +278,18 @@ def product(factors):
 
 # a factor m cleared to the integer matrix den q^k m, with den the common
 # integer denominator and k >= 0 the least power of q that leaves no negative
-# exponent; rows lists, per row, the (column, polynomial) pairs of the
-# nonzero entries of m, width is the most of them in a row and norm the
-# largest l1 norm of an entry of den q^k m
+# exponent; rows is m.nonzero_rows(), width the most nonzeros in a row and
+# norm the largest l1 norm of an entry of den q^k m
 _Cleared = namedtuple("_Cleared", "den k rows width norm")
 
 
 def _cleared(m):
     """m as a _Cleared factor, or None when an entry of m has a non-constant
     denominator."""
-    rows = [[(j, a.num) for j, a in enumerate(row) if a.num.terms] for row in m.entries]
-    if not all(a.den.is_one for row in m.entries for a in row if a.num.terms):
+    rows = m.nonzero_rows()
+    if not all(a.den.is_one for row in rows for _, a in row):
         return None
-    flat = [p for row in rows for _, p in row]
+    flat = [a.num for row in rows for _, a in row]
     den = math.lcm(*(p.denom for p in flat))
     k = max([0] + [-(min(p.terms) // 8) for p in flat])
     norm = max([den // p.denom * sum(map(abs, p.terms.values())) for p in flat], default=0)
@@ -299,10 +304,10 @@ def _image(c, w):
     out = []
     for row in c.rows:
         image_row = []
-        for j, p in row:
-            scale = c.den // p.denom
+        for j, a in row:
+            scale = c.den // a.num.denom
             classes = [0] * 8
-            for e, v in p.terms.items():
+            for e, v in a.num.terms.items():
                 classes[e & 7] += v * scale << w * ((e >> 3) + c.k)
             image_row.extend((16 * j + r, v) for r, v in enumerate(classes) if v)
         out.append(image_row)

@@ -373,6 +373,11 @@ class TestSizeLimits:
         ("verify", "zbn", "--dim", "8"),
         ("verify", "zbn", "--dim", "16", "--strands", "2"),
         ("zbn", "--dim", "16", "--strands", "2", "--word", "0 1 0' 1'"),
+        # above the bound on letters times rows: 100 letters on 81 rows (67.6 s
+        # and 517 MB unbounded), 51 on 81 rows and 17 on 256 rows
+        ("zbn", "--dim", "3", "--strands", "4", "--word", " ".join(["0 1' 2 3'"] * 25)),
+        ("zbn", "--dim", "3", "--strands", "4", "--word", "0 " * 51),
+        ("zbn", "--dim", "2", "--strands", "8", "--word", "7' " * 17),
     ]
 
     @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
@@ -404,6 +409,20 @@ class TestSizeLimits:
         assert cli.MAX_COEFF_INDEX >= 13
         assert MAX_EXACT_DIM >= 5 * 5
         assert run_cli("coeffs", "--count", "2", "--beta1", "(1+x)^64")[0] == 0
+
+    def test_word_work_limit(self, monkeypatch, capsys):
+        # the benchmark's 8-letter word on 81 rows and the 16-letter word on 256
+        # rows that CI times are admitted; one letter more on 256 rows is not,
+        # and it is refused before the bundle's factors are built
+        assert 8 * 3 ** 4 <= 16 * 2 ** 8 <= braidrep.MAX_WORD_WORK < 17 * 2 ** 8
+        code, out = run_cli("zbn", "--dim", "3", "--strands", "4", "--word",
+                            "0 1' 2 3' 0' 1 2' 3", "--format", "json")
+        assert code == 0 and json.loads(out)["rows"] == 81
+        assert braidrep.zbn_generators(2, 8, 0, 16).n == 8
+        monkeypatch.setattr(braidrep, "_factors", None)
+        assert run_cli("zbn", "--dim", "2", "--strands", "8", "--word", "0 " * 17)[0] == 2
+        assert "a word of 17 letters on V2^(x8) exceeds the limit %d on letters times rows" \
+            % braidrep.MAX_WORD_WORK in capsys.readouterr().err
 
     def test_verify_dim_limit(self, capsys):
         # the benchmark sweeps four-braid to --max-dim 5

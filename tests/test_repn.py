@@ -312,6 +312,96 @@ class TestKronFlip:
         assert total == QMatrix.diagonal(expected)
 
 
+def dense_product(a, b):
+    """The independent oracle for A B: sum_k a_ik b_kj over every k, zeros
+    included, one RingElem product and sum at a time."""
+    out = [[ZERO] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                out[i][j] = out[i][j] + a[(i, k)] * b[(k, j)]
+    return tuple(map(tuple, out))
+
+
+def scanned_rows(m):
+    """Per row, the (column, entry) pairs of the entries that compare unequal to 0."""
+    return tuple(tuple((j, a) for j, a in enumerate(row) if a != 0) for row in m.entries)
+
+
+def holed_matrix(rng, rows, cols):
+    """A mixed matrix with one zero row and one zero column, both chosen by rng."""
+    zero_row, zero_col = rng.randrange(rows), rng.randrange(cols)
+    return QMatrix([[ZERO if i == zero_row or j == zero_col else mixed_entry(rng)
+                     for j in range(cols)] for i in range(rows)])
+
+
+def with_index(m, index):
+    """A copy of m whose index of nonzeros is `index`, whatever its entries."""
+    out = QMatrix._raw(m.rows, m.cols, m.entries)
+    out._nonzero = index
+    return out
+
+
+class TestNonzeroRows:
+    def test_products_match_dense_oracle(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            n, m, p, r = (rng.randint(1, 5) for _ in range(4))
+            a, b, c = holed_matrix(rng, n, m), holed_matrix(rng, m, p), rand_matrix(rng, p)
+            ab = a * b
+            assert ab.entries == dense_product(a, b)
+            # a product's own index, read by the next product
+            assert (ab * c).entries == dense_product(ab, c)
+            d = holed_matrix(rng, p, r)
+            assert (ab * d).entries == dense_product(ab, d)
+
+    def test_index_is_built_once(self):
+        rng = random.Random(22)
+        a, b = holed_matrix(rng, 3, 4), holed_matrix(rng, 4, 2)
+        index = b.nonzero_rows()
+        assert b.nonzero_rows() is index
+        a * b
+        b * QMatrix.identity(2)
+        assert b.nonzero_rows() is index
+        assert a.nonzero_rows() is a.nonzero_rows()
+
+    def test_constructors_report_their_nonzeros(self):
+        rng = random.Random(23)
+        built = holed_matrix(rng, 3, 4)
+        zero = RingElem(LaurentPoly({2: 1})) - x_pow(2)
+        cases = [built, MIXED, QMatrix([[zero, 1], [0, Fraction(1, 2)]]),
+                 QMatrix._raw(built.rows, built.cols, built.entries),
+                 QMatrix.zeros(2, 3), QMatrix.zeros(1), QMatrix.identity(3),
+                 QMatrix.diagonal([ONE, ZERO, x_pow(-2), zero])]
+        for m in cases:
+            assert m.nonzero_rows() == scanned_rows(m)
+            assert m.is_zero == (not any(scanned_rows(m)))
+        assert QMatrix.zeros(2, 3).nonzero_rows() == ((), ())
+        assert QMatrix.identity(3).nonzero_rows() == (((0, ONE),), ((1, ONE),), ((2, ONE),))
+        assert QMatrix.diagonal([ONE, ZERO, 3]).nonzero_rows() == (((0, ONE),), (), ((2, 3),))
+        assert MIXED.nonzero_rows() == (((1, ONE), (2, ONE)), ((0, MIXED[(1, 0)]), (1, x_pow(-3))))
+
+    def test_dropped_index_entry_fails_the_oracle(self):
+        # the negative twin: products, kron and is_zero read the index, so an
+        # index that leaves out one nonzero entry changes each of them
+        rng = random.Random(24)
+        a = holed_matrix(rng, 3, 4)
+        index = a.nonzero_rows()
+        left, right = QMatrix.identity(3), QMatrix.identity(4)
+        dropped = 0
+        for i, row in enumerate(index):
+            for n in range(len(row)):
+                tampered = with_index(a, index[:i] + (row[:n] + row[n + 1:],) + index[i + 1:])
+                assert tampered == a
+                assert (tampered * right).entries != dense_product(tampered, right)
+                assert (left * tampered).entries != dense_product(left, tampered)
+                assert kron(tampered, left) != entry_kron(tampered, left)
+                dropped += 1
+        assert dropped == sum(map(len, index)) > 0
+        assert with_index(a, ((),) * a.rows).is_zero
+        assert (a * right).entries == dense_product(a, right)
+
+
 class TestBuilders:
     def test_powers(self):
         r = irrep(4)

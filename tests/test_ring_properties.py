@@ -1,6 +1,7 @@
 """Hypothesis properties of Q(x): ring axioms, exact quotients, the hash/eq
-contract with int and Fraction, faithful, round-tripping JSON, and the
-multiply-accumulate kernel behind matrix products against a naive sum.
+contract with int and Fraction, faithful, round-tripping JSON, the
+multiply-accumulate kernel behind matrix products against a naive sum, and
+the gcd-free product with a monomial against the gcd path.
 
 Elements mix integer, half-integer and 1/3 coefficients on exponent strides
 1, 4 and 8, the shapes the integer storage and the stride-compressed gcd
@@ -11,8 +12,10 @@ from fractions import Fraction
 
 import pytest
 
+from qweyl import qring
 from qweyl.qring import ONE, ZERO, X, LaurentPoly, RingElem, dot
 from qweyl.repn import QMatrix
+from qweyl.twist import zhat_inverse
 
 from json_decode import elem_from_json, through_text
 
@@ -171,3 +174,36 @@ def test_entry_mixing_denominators_two_and_three():
     c = QMatrix([[X / 2, X / 3, X]])
     d = QMatrix([[ONE], [ONE], [RingElem.from_rational(Fraction(-5, 6))]])
     assert_canonical_zero((c * d)[0, 0])
+
+
+monomials = st.builds(lambda e, c: RingElem(LaurentPoly.monomial(e, c)),
+                      st.integers(-8, 8), coeffs.filter(bool))
+rationals = elems().filter(lambda e: not e.den.is_one)
+
+
+def gcd_path(num, den):
+    """num / den canonicalized in full: the gcd of num and den is cancelled."""
+    e = RingElem(num, den)
+    return e.num, e.den
+
+
+@settings
+@given(monomials, rationals)
+def test_monomial_times_rational_matches_gcd_path(m, a):
+    expected = gcd_path(m.num * a.num, m.den * a.den)
+    assert ((m * a).num, (m * a).den) == expected
+    assert ((a * m).num, (a * m).den) == expected
+
+
+def test_negated_rational_matrix_needs_no_gcd(monkeypatch):
+    m = zhat_inverse(7, 1)
+    entries = [a for row in m.entries for a in row]
+    assert sum(not a.den.is_one for a in entries) == 15
+    cancels = []
+    cancel = qring._cancel
+    monkeypatch.setattr(qring, "_cancel", lambda a, b: cancels.append(a) or cancel(a, b))
+    negated = [a for row in (-m).entries for a in row]
+    assert cancels == []
+    monkeypatch.undo()
+    for a, b in zip(entries, negated):
+        assert (b.num, b.den) == gcd_path(-a.num, a.den)
