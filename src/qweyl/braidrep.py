@@ -19,7 +19,7 @@ MAX_EXACT_DIM = 256
 """Row ceiling for exact work; raise it only with a recorded timing."""
 
 MAX_WORD_WORK = 4096
-"""Ceiling on letters times rows of an exact word; README "Size limits" has its times."""
+"""Ceiling on letters times rows of an exact word; it does not bound the word's time."""
 
 MAX_NUMERIC_DIM = 1024
 """Row and strand ceiling for numeric bundles, whose generators are dense

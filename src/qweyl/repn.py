@@ -75,8 +75,8 @@ class QMatrix:
     def nonzero_rows(self):
         """Per row, the (column, entry) pairs of its nonzero entries."""
         if self._nonzero is None:
-            self._nonzero = tuple(tuple((j, a) for j, a in enumerate(row) if a.num.terms)
-                                  for row in self.entries)
+            self._nonzero = tuple([tuple([(j, a) for j, a in enumerate(row) if a.num.terms])
+                                   for row in self.entries])
         return self._nonzero
 
     # -- arithmetic ---------------------------------------------------------
