@@ -477,6 +477,10 @@ class RingElem:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
+    def shift(self, k):
+        """self * x^k; the unit x^k leaves the denominator as it is."""
+        return RingElem._raw(self.num.shift(k), self.den)
+
     def inverse(self):
         if not self.num.terms:
             raise ZeroDivisionError("division by zero in Q(x)")

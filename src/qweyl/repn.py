@@ -300,16 +300,21 @@ def _image(c, w):
     """The entries of the cleared factor c, integer polynomials sum v x^e with
     e >= 0, as their images in Z[x]/(x^8 - 2^w): per row the (16 j + r, sum
     of v 2^(w (e >> 3)) over the exponents e = r mod 8) pairs of column j and
-    class r, zeros left out."""
+    class r, zeros left out.  An entry object that recurs in c, as every
+    entry of t does in t (x) 1, is mapped once."""
     out = []
+    mapped = {}
     for row in c.rows:
         image_row = []
         for j, a in row:
-            scale = c.den // a.num.denom
-            classes = [0] * 8
-            for e, v in a.num.terms.items():
-                classes[e & 7] += v * scale << w * ((e >> 3) + c.k)
-            image_row.extend((16 * j + r, v) for r, v in enumerate(classes) if v)
+            image = mapped.get(id(a))
+            if image is None:
+                scale = c.den // a.num.denom
+                classes = [0] * 8
+                for e, v in a.num.terms.items():
+                    classes[e & 7] += v * scale << w * ((e >> 3) + c.k)
+                image = mapped[id(a)] = [(r, v) for r, v in enumerate(classes) if v]
+            image_row.extend((16 * j + r, v) for r, v in image)
         out.append(image_row)
     return out
 
@@ -333,6 +338,29 @@ def _row_times(vec, rows, w):
     return {key: v for key, v in out.items() if v}
 
 
+def _chain_row(images, i, w):
+    """Row i of the product of a chain of factor images, as a {16 j + r:
+    value} dict."""
+    vec = dict(images[0][i])
+    for rows in images[1:]:
+        vec = _row_times(vec, rows, w)
+    return vec
+
+
+def _shared_run(lhs, rhs):
+    """(i, j, n) for the longest run lhs[i:i+n] that is also rhs[j:j+n],
+    factor by factor as the same objects; n = 0 when no factor is shared."""
+    best = (0, 0, 0)
+    for i in range(len(lhs)):
+        for j in range(len(rhs)):
+            n = 0
+            while i + n < len(lhs) and j + n < len(rhs) and lhs[i + n] is rhs[j + n]:
+                n += 1
+            if n > best[2]:
+                best = (i, j, n)
+    return best
+
+
 def products_equal(lhs, rhs):
     """Whether the chains of matrices lhs and rhs have equal products, decided
     without building either product; None when some factor has an entry with
@@ -351,7 +379,13 @@ def products_equal(lhs, rhs):
     from a row to a column, so every entry of its cleared product has an l1
     norm of at most B = prod_(m<n) width_m * prod_m norm_m, and
     w = bit_length(B_lhs + B_rhs) + 1 bounds every coefficient of the
-    difference.  Products are taken row by row, left to right.
+    difference.
+
+    The longest run of factors that both chains share (the same objects in
+    the same order, as in the rotations R21 t2 R t1 and t1 R21 t2 R) is
+    multiplied out once, in the image, and each side then uses it as one
+    factor; the image of a product is the product of the images, so w is
+    unchanged.  Products are taken row by row, left to right.
     """
     cleared = {}
     for f in (*lhs, *rhs):
@@ -375,13 +409,14 @@ def products_equal(lhs, rhs):
         return False
     w = sum(bounds).bit_length() + 1
     images = {key: _image(c, w) for key, c in cleared.items()}
-    for i in range(lhs[0].rows):
-        sides = []
-        for chain in (lhs, rhs):
-            vec = dict(images[id(chain[0])][i])
-            for f in chain[1:]:
-                vec = _row_times(vec, images[id(f)], w)
-            sides.append(vec)
-        if sides[0] != sides[1]:
+    sides = [[images[id(f)] for f in chain] for chain in (lhs, rhs)]
+    i, j, n = _shared_run(lhs, rhs)
+    if n > 1:
+        run_images = sides[0][i:i + n]
+        run = [list(_chain_row(run_images, row, w).items()) for row in range(lhs[i].rows)]
+        sides = [sides[0][:i] + [run] + sides[0][i + n:],
+                 sides[1][:j] + [run] + sides[1][j + n:]]
+    for row in range(lhs[0].rows):
+        if _chain_row(sides[0], row, w) != _chain_row(sides[1], row, w):
             return False
     return True

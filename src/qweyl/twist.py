@@ -39,7 +39,8 @@ VARIANTS = ("standard", "w_inverse", "k_conjugate", "u_conjugate", "affine")
 
 BETA1_CACHE_SIZE = 256
 """Entries kept by each cache keyed by a beta1 or a TwistConfig, least
-recently used first out.  `verify all --max-dim 3` fills at most 28."""
+recently used first out.  `verify all --max-dim 3` fills at most 30, in
+the `twist_t` memo."""
 
 BRACKET_CACHE_SIZE = 2048
 """Entries kept by the `bracket_coeff` memo.  `verify bform` at the largest
@@ -96,14 +97,22 @@ def beta_coeffs(n_max, beta1):
     q^-a - 1; the second makes alpha_m = alpha'_m / [m]! the inverse series.
     """
     beta1 = as_elem(beta1)
-    primes, alpha_primes = [ONE, beta1][:n_max + 1], [ONE, -beta1][:n_max + 1]
+    primes, alpha_primes = _beta_primes(n_max, beta1), [ONE, -beta1][:n_max + 1]
     for a in range(1, n_max):
-        primes.append(beta1 * primes[a] + (q_power(-a) - ONE) * primes[a - 1])
         alpha_primes.append(-beta1 * q_power(-a) * alpha_primes[a]
                             + (q_power(1 - a) - q_power(1 - 2 * a)) * alpha_primes[a - 1])
     return CoeffTable(betas=tuple(p / q_factorial(m) for m, p in enumerate(primes)),
-                      beta_primes=tuple(primes),
+                      beta_primes=primes,
                       alphas=tuple(p / q_factorial(m) for m, p in enumerate(alpha_primes)))
+
+
+def _beta_primes(n_max, beta1):
+    """beta'_0 .. beta'_n_max for the ring element beta1, by the first
+    recursion of `beta_coeffs`, with no division."""
+    primes = [ONE, beta1][:n_max + 1]
+    for a in range(1, n_max):
+        primes.append(beta1 * primes[a] + (q_power(-a) - ONE) * primes[a - 1])
+    return tuple(primes)
 
 
 @lru_cache(maxsize=None)
@@ -187,12 +196,41 @@ def weyl_w(d):
     return QMatrix(entries)
 
 
+@lru_cache(maxsize=None)
+def _twist_leg(d, k, j):
+    """The beta1-free factor of the standard twist's entry (d-1-k, j), with
+    m = k - j: (-1)^k x^(-(d-1)^2 - 4k - h_k^2 - 2 m h_k) ([k]!/[m]!)
+    ([d-1]!/[d-1-k]!), a Laurent polynomial."""
+    h = d - 1 - 2 * k
+    out = ONE
+    for i in (*range(k - j + 1, k + 1), *range(d - k, d)):
+        out = out * q_int(i)
+    out = out.shift(-(d - 1) ** 2 - 4 * k - h * h - 2 * (k - j) * h)
+    return -out if k % 2 else out
+
+
 @lru_cache(maxsize=BETA1_CACHE_SIZE)
 def twist_t(d, config):
-    """The cylinder-twist matrix in the d-dim irrep for the given family member."""
-    z = z_elem(d, config.beta1)
+    """The cylinder-twist matrix in the d-dim irrep for the given family member.
+
+    The standard twist t = w z is written entry by entry: w e_k = omega_k
+    e_(d-1-k) and z e_j = sum_m beta_m x^(-h_(j+m)^2 - 2 m h_(j+m)) e_(j+m)
+    give, with beta_m = beta'_m / [m]!,
+
+        t[d-1-k, j] = (-1)^k x^(-(d-1)^2 - 4k - h_k^2 - 2 m h_k)
+                        ([k]!/[m]!) ([d-1]!/[d-1-k]!) beta'_m,   m = k - j,
+
+    for 0 <= j <= k, and zero elsewhere.  Its test oracle is the product
+    `weyl_w(d) * z_elem(d, beta1)`.  The other variants are products of
+    their factors."""
     if config.variant == "standard":
-        return weyl_w(d) * z
+        primes = _beta_primes(d - 1, config.beta1)
+        entries = [[ZERO] * d for _ in range(d)]
+        for k in range(d):
+            for j in range(k + 1):
+                entries[d - 1 - k][j] = _twist_leg(d, k, j) * primes[k - j]
+        return QMatrix._raw(d, d, tuple(map(tuple, entries)))
+    z = z_elem(d, config.beta1)
     if config.variant == "w_inverse":
         return weyl_w(d).inverse() * z
     if config.variant == "k_conjugate":

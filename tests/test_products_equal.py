@@ -2,7 +2,8 @@
 of Laurent-polynomial matrices its verdict must be the verdict of the exact
 products, `product(lhs) == product(rhs)`; tampered twins must read False,
 and a factor with a non-constant denominator must leave the verdict to the
-exact path (None)."""
+exact path (None).  Chains that share a run of factors, which the image
+multiplies out once, are checked in every layout of that run."""
 
 import hashlib
 import io
@@ -13,7 +14,7 @@ import pytest
 
 from qweyl import cli
 from qweyl.qring import Q, LaurentPoly, RingElem, parse_ring_elem
-from qweyl.repn import QMatrix, product, products_equal
+from qweyl.repn import QMatrix, _shared_run, product, products_equal
 from qweyl.reports import matrix_check, product_check
 
 SEEDS = range(240)
@@ -130,6 +131,78 @@ def test_tampered_factors_mostly_change_the_product():
         for bad in twins(lhs[k], rng):
             differ += products_equal(lhs, lhs[:k] + [bad] + lhs[k + 1:]) is False
     assert differ >= 100
+
+
+def shared_run_layouts(seed):
+    """Pairs of chains that share the run (a, b, c), the same objects, each
+    with the run's (lhs offset, rhs offset, length) as `_shared_run` must
+    find it; and the factors b, inside the run, and d, outside it.  d is a
+    polynomial in the product a b c, so it commutes with the run and every
+    pair has equal products."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 3)
+    a, b, c, e = (rand_matrix(rng, n, n) for _ in range(4))
+    d = (a * b * c).scale(RingElem.x_power(rng.randint(-9, 9))) \
+        + QMatrix.identity(n).scale(Fraction(rng.randint(1, 5), 2))
+    layouts = {
+        "rotation": ((a, b, c, d), (d, a, b, c), (0, 1, 3)),
+        "prefix": ((a, b, c, d), (a, b, c, copy(d)), (0, 0, 3)),
+        "suffix": ((d, a, b, c), (copy(d), a, b, c), (1, 1, 3)),
+        "identical": ((a, b, c, d), (a, b, c, d), (0, 0, 4)),
+        "offsets": ((e, d, a, b, c), (e, a, b, c, d), (2, 1, 3)),
+    }
+    return layouts, b, d
+
+
+LAYOUTS = ("rotation", "prefix", "suffix", "identical", "offsets")
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_shared_run_is_found(layout):
+    lhs, rhs, run = shared_run_layouts(0)[0][layout]
+    assert _shared_run(lhs, rhs) == run
+    assert _shared_run(rhs, lhs) == (run[1], run[0], run[2])
+
+
+def test_chains_of_copies_share_no_run():
+    lhs, rhs = chain_pair(0)
+    assert _shared_run(lhs, rhs)[2] == 0
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_shared_run_verdicts_match_exact_products(layout):
+    for seed in SEEDS[:40]:
+        lhs, rhs, _ = shared_run_layouts(seed)[0][layout]
+        assert product(lhs) == product(rhs)
+        assert products_equal(lhs, rhs) is True
+
+
+def swapped(chain, old, new):
+    return tuple(new if f is old else f for f in chain)
+
+
+@pytest.mark.parametrize("layout", ("rotation", "prefix", "suffix", "offsets"))
+def test_tampered_inside_or_outside_the_run_reads_false(layout):
+    # a twin of b in the left chain only, which breaks the run; where d sits
+    # on the other side of the run in the two chains, a twin of b in both,
+    # which keeps the run shared; a twin of d in the left chain only, outside
+    # the run.  A twin can leave the product as it was (a zero column of a
+    # times the bumped row of b), so the verdict follows the exact products.
+    cases = false = 0
+    for seed in SEEDS[:40]:
+        rng = random.Random(seed)
+        layouts, b, d = shared_run_layouts(seed)
+        lhs, rhs, _ = layouts[layout]
+        bad_b, bad_d = next(twins(b, rng)), next(twins(d, rng))
+        tampered = [(swapped(lhs, b, bad_b), rhs), (swapped(lhs, d, bad_d), rhs)]
+        if layout in ("rotation", "offsets"):
+            tampered.append((swapped(lhs, b, bad_b), swapped(rhs, b, bad_b)))
+        for tl, tr in tampered:
+            verdict = products_equal(tl, tr)
+            assert verdict == (product(tl) == product(tr))
+            cases += 1
+            false += verdict is False
+    assert false >= 0.8 * cases
 
 
 @pytest.mark.parametrize("k", range(1, 81))

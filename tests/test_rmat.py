@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qweyl import rmat
 from qweyl.qring import ONE, ZERO, RingElem, q_power
 from qweyl.repn import QMatrix, irrep, kron
 from qweyl.rmat import (
@@ -16,7 +17,12 @@ from qweyl.rmat import (
 )
 from qweyl.twist import weyl_w
 
+from factor_oracle import r_product
 from coproduct_oracle import coproduct_gen, coproduct_gen_op, flip
+
+PAIRS = [(da, db) for da in range(1, 8) for db in range(1, 8)]
+# the pairs whose R has a term with n = 1
+PAIRS_WITH_SERIES = [(da, db) for da, db in PAIRS if min(da, db) >= 2]
 
 
 def x_pow(k):
@@ -74,6 +80,50 @@ class TestRMatrix:
     def test_family_bundle(self):
         assert r_matrix(2, 3) * r_inverse(2, 3) == QMatrix.identity(6)
         assert r21(2, 3) == flip(3, 2) * r_matrix(3, 2) * flip(2, 3)
+
+
+class TestClosedForms:
+    """r_matrix against the product of its factors, r_inverse against
+    Gauss-Jordan elimination; both are built uncached, so that a tampered
+    leg coefficient reaches them."""
+
+    @staticmethod
+    def r_mismatches():
+        return [(da, db) for da, db in PAIRS
+                if rmat.r_matrix.__wrapped__(da, db) != r_product(da, db)]
+
+    @staticmethod
+    def inverse_mismatches():
+        return [(da, db) for da, db in PAIRS
+                if rmat.r_inverse.__wrapped__(da, db) != r_matrix(da, db).inverse()]
+
+    def test_r_matches_cartan_times_series(self):
+        assert self.r_mismatches() == []
+
+    def test_r_inverse_matches_gauss_jordan(self):
+        assert self.inverse_mismatches() == []
+
+    def test_sign_flipped_leg_fails(self, monkeypatch):
+        # (-1)^n on every leg coefficient: a sign in R, and R^-1 without
+        # its (-1)^n
+        leg = rmat._leg_coeff
+        monkeypatch.setattr(rmat, "_leg_coeff", lambda da, k, n: leg(da, k, n) * (-1) ** n)
+        assert self.r_mismatches() == PAIRS_WITH_SERIES
+        assert self.inverse_mismatches() == PAIRS_WITH_SERIES
+
+    def test_exponent_shifted_by_eight_fails(self, monkeypatch):
+        # one q on the (k, n) = (1, 1) terms only
+        leg = rmat._leg_coeff
+        monkeypatch.setattr(rmat, "_leg_coeff", lambda da, k, n:
+                            leg(da, k, n).shift(8 if (k, n) == (1, 1) else 0))
+        assert self.r_mismatches() == PAIRS_WITH_SERIES
+        assert self.inverse_mismatches() == PAIRS_WITH_SERIES
+
+    def test_rejects_empty_legs(self):
+        for build in (r_matrix, r_inverse):
+            for dims in ((0, 2), (2, 0)):
+                with pytest.raises(ValueError, match="positive"):
+                    build(*dims)
 
 
 class TestIntertwiner:

@@ -62,6 +62,7 @@ from qweyl.twist import (
 )
 
 import coeff_oracle
+from factor_oracle import twist_product
 
 B0 = RingElem.from_rational(0)
 B1 = ONE
@@ -259,6 +260,33 @@ class TestTwistMatrix:
             t = twist_t(d, TwistConfig(beta1=BX4))
             assert t[(d - 1, 0)] == q_power(Fraction(-(d - 1) ** 2, 4))
             assert t[(d - 1, 1)] == ZERO
+
+    # beta1 with integer, half-integer, Laurent, rational-function and zero values
+    CLOSED_FORM_BETA1 = ("3", "-2+1/2", "x^4+1", "1/(q-2)", "0", "2*x^-4-x^12")
+
+    def closed_form_mismatches(self):
+        """(d, beta1) with d <= 7 where the standard twist, built uncached,
+        differs from the product w z."""
+        return [(d, b) for b in self.CLOSED_FORM_BETA1 for d in range(1, 8)
+                if twist.twist_t.__wrapped__(d, TwistConfig(beta1=parse_ring_elem(b)))
+                != twist_product(d, parse_ring_elem(b))]
+
+    def test_standard_closed_form_matches_w_times_z(self):
+        assert self.closed_form_mismatches() == []
+
+    def test_closed_form_without_its_sign_fails(self, monkeypatch):
+        leg = twist._twist_leg
+        monkeypatch.setattr(twist, "_twist_leg", lambda d, k, j: leg(d, k, j) * (-1) ** k)
+        assert self.closed_form_mismatches() == [
+            (d, b) for b in self.CLOSED_FORM_BETA1 for d in range(2, 8)]
+
+    def test_closed_form_with_a_shifted_exponent_fails(self, monkeypatch):
+        # one q on the entries with (k, j) = (1, 1), where m = 0
+        leg = twist._twist_leg
+        monkeypatch.setattr(twist, "_twist_leg", lambda d, k, j:
+                            leg(d, k, j).shift(8 if (k, j) == (1, 1) else 0))
+        assert self.closed_form_mismatches() == [
+            (d, b) for b in self.CLOSED_FORM_BETA1 for d in range(2, 8)]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -755,11 +783,19 @@ class TestCacheBounds:
               "coproduct_zhat", "coproduct_z")
 
     def test_distinct_beta1_values_stay_within_bound(self):
-        assert BETA1_CACHE_SIZE >= 4 * 28  # verify all --max-dim 3 fills 28
+        # verify all --max-dim 3 fills 28 at the default beta1 and at most 30
+        # at others, in the twist_t memo
+        assert BETA1_CACHE_SIZE >= 4 * 28
         for k in range(1000):
             b1 = RingElem.from_rational(Fraction(k, 7))
-            twist_t(2, TwistConfig(beta1=b1))
+            # each memo is filled by its own builder: the standard twist
+            # no longer goes through z_elem and zhat
+            beta_coeffs(1, b1)
+            zhat(2, b1)
             zhat_inverse(2, b1)
+            z_elem(2, b1)
+            twist_t(2, TwistConfig(beta1=b1))
+            coproduct_zhat(1, 2, b1)
             coproduct_z(1, 2, b1)
         for name in self.CACHES:
             info = getattr(twist, name).cache_info()
