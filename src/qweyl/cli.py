@@ -298,8 +298,9 @@ def _cmd_zbn(args, out):
         inverses = {idx: np.linalg.inv(gens[idx])
                     for idx in {idx for idx, exp in word.letters if exp == -1}}
         result = np.eye(args.dim ** args.strands, dtype=complex)
-        for idx, exp in word.letters:
-            result = result @ (gens[idx] if exp == 1 else inverses[idx])
+        with np.errstate(over="ignore", invalid="ignore"):  # _print_numeric reports it
+            for idx, exp in word.letters:
+                result = result @ (gens[idx] if exp == 1 else inverses[idx])
         _print_numeric(result, args.format, out)
         return 0
     _check_verify_dim(args.dim, "--dim")

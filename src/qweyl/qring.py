@@ -668,11 +668,12 @@ Q_BINOMIAL_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=Q_BINOMIAL_CACHE_SIZE)
 def q_binomial(n, k):
-    """Gaussian binomial [n over k]; zero outside 0 <= k <= n."""
+    """Gaussian binomial [n over k]; zero outside 0 <= k <= n.  Built by the
+    q-Pascal step [n over k] = x^(4k) [n-1 over k] + x^(-4(n-k)) [n-1 over k-1]."""
     n, k = int(n), int(k)
-    if k < 0 or k > n:
-        return ZERO
-    return q_factorial(n) / (q_factorial(k) * q_factorial(n - k))
+    if not 0 < k < n:
+        return ONE if k in (0, n) else ZERO
+    return q_binomial(n - 1, k).shift(4 * k) + q_binomial(n - 1, k - 1).shift(4 * (k - n))
 
 
 # ---------------------------------------------------------------------------

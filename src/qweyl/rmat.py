@@ -126,17 +126,10 @@ def conjugated_r(da, db):
 
 @lru_cache(maxsize=None)
 def drinfeld_u(d):
-    """The Drinfeld element: multiply the antipoded second leg of R by the first.
-
-    The antipode acts on generators by S(H) = -H, S(X) = -q^(1/2) X,
-    S(Y) = -q^(-1/2) Y, so the second leg F^n P_m' of R becomes S(F)^n P_-m'
-    with S(F) = -q^(-1/2) Y K.  Only m' = -m survives against the first leg
-    P_m E^n, which leaves sum_n c_n S(F)^n q^(-H^2/4) E^n.  Conjugation by
-    the result implements S^2.
+    """The Drinfeld element u = sum_n c_n S(F)^n q^(-H^2/4) E^n on V_d, the
+    antipoded second leg of R times the first.  Conjugation by u, as by K^2,
+    implements S^2, so u K^-2 is central and a scalar on V_d, read off at the
+    highest weight, where only n = 0 acts: u = q^(-(d^2-1)/4) K^2, the
+    diagonal x^(4h - 2(d^2-1)).  Its test oracle is the series.
     """
-    r = irrep(d)
-    sf = (r.Y * r.K).scale(-q_power(Fraction(-1, 2)))
-    gauss = x_diagonal(-2 * h * h for h in r.weights)
-    sfpow, epow = powers(sf, d - 1), powers(r.E, d - 1)
-    return tensor_series((series_coeff(n), sfpow[n] * gauss * epow[n])
-                         for n in range(d))
+    return x_diagonal(4 * h - 2 * (d * d - 1) for h in irrep(d).weights)

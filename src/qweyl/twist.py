@@ -28,7 +28,6 @@ from .rmat import (
     braid_matrix,
     cartan_factor,
     conjugated_r,
-    drinfeld_u,
     r21,
     r_inverse,
     r_matrix,
@@ -40,7 +39,7 @@ VARIANTS = ("standard", "w_inverse", "k_conjugate", "u_conjugate", "affine")
 BETA1_CACHE_SIZE = 256
 """Entries kept by each cache keyed by a beta1 or a TwistConfig, least
 recently used first out.  `verify all --max-dim 3` fills at most 30, in
-the `twist_t` memo."""
+the `twist_t` memo; the standard twists the variants read are among them."""
 
 BRACKET_CACHE_SIZE = 2048
 """Entries kept by the `bracket_coeff` memo.  `verify bform` at the largest
@@ -220,28 +219,33 @@ def twist_t(d, config):
         t[d-1-k, j] = (-1)^k x^(-(d-1)^2 - 4k - h_k^2 - 2 m h_k)
                         ([k]!/[m]!) ([d-1]!/[d-1-k]!) beta'_m,   m = k - j,
 
-    for 0 <= j <= k, and zero elsewhere.  Its test oracle is the product
-    `weyl_w(d) * z_elem(d, beta1)`.  The other variants are products of
-    their factors."""
-    if config.variant == "standard":
-        primes = _beta_primes(d - 1, config.beta1)
-        entries = [[ZERO] * d for _ in range(d)]
-        for k in range(d):
-            for j in range(k + 1):
-                entries[d - 1 - k][j] = _twist_leg(d, k, j) * primes[k - j]
-        return QMatrix._raw(d, d, tuple(map(tuple, entries)))
-    z = z_elem(d, config.beta1)
-    if config.variant == "w_inverse":
-        return weyl_w(d).inverse() * z
-    if config.variant == "k_conjugate":
-        k_alpha = x_diagonal(int(2 * config.alpha) * h for h in irrep(d).weights)
-        return weyl_w(d) * k_alpha * z * k_alpha
-    if config.variant == "u_conjugate":
-        u = drinfeld_u(d)
-        return weyl_w(d) * u * z * u
+    for 0 <= j <= k, and zero elsewhere.  The affine variant is z w.  On V_d,
+    w w = s = (-1)^(d-1) x^(-2(d^2-1)) ([d-1]!)^2, w K = K^-1 w and
+    u = x^(-2(d^2-1)) K^2 (`rmat.drinfeld_u`), so w^-1 z = t / s and
+    w K^(e/2) z K^(e/2) = K^(-e/2) t K^(e/2) is t with entry (i, j) times
+    x^(e (h_j - h_i)); w u z u is that at e = 4, times x^(-4(d^2-1)).  The
+    test oracle of each variant is the product of its factors."""
+    if d < 1:
+        raise ValueError("dimension must be positive, got %d" % d)
     if config.variant == "affine":
-        return z * weyl_w(d)
-    raise ValueError("unknown variant %r" % config.variant)
+        return z_elem(d, config.beta1) * weyl_w(d)
+    if config.variant != "standard":
+        t = twist_t(d, TwistConfig(config.beta1))
+        if config.variant == "w_inverse":
+            s = q_factorial(d - 1) ** 2 * RingElem.x_power(-2 * (d * d - 1))
+            return t.scale(ONE / (s if d % 2 else -s))
+        e, shift = ((int(2 * config.alpha), 0) if config.variant == "k_conjugate"
+                    else (4, -4 * (d * d - 1)))
+        h = irrep(d).weights
+        return QMatrix._raw(d, d, tuple(
+            tuple(a.shift(e * (hj - hi) + shift) for a, hj in zip(row, h))
+            for row, hi in zip(t.entries, h)))
+    primes = _beta_primes(d - 1, config.beta1)
+    entries = [[ZERO] * d for _ in range(d)]
+    for k in range(d):
+        for j in range(k + 1):
+            entries[d - 1 - k][j] = _twist_leg(d, k, j) * primes[k - j]
+    return QMatrix._raw(d, d, tuple(map(tuple, entries)))
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,9 @@ class TestSizeLimits:
         ("zbn", "--dim", "17", "--strands", "1", "--word", "0"),
         # the twist on V_d needs the coefficient index d - 1
         ("twist", "--dim", "18"),
+        # no twist on fewer than one dimension, for the standard variant too
+        ("twist", "--dim", "0"),
+        ("twist", "--dim", "-2", "--format", "json"),
         ("twist", "--dim", "256", "--at-q", "0.7"),
         # numeric bundles: 2048 rows, a strand count tested before d ** n,
         # and no strands at all
@@ -468,6 +471,18 @@ def _run_python(code):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+def test_numeric_word_overflow_reports_only_the_error():
+    # numpy warns of the overflow inside the product; the finite check of
+    # the printed matrix reports it, as the only line on stderr
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONWARNINGS="default")
+    done = subprocess.run([sys.executable, "-m", "qweyl.cli", "zbn", "--dim", "3",
+                           "--strands", "2", "--word", "0 1'", "--at-q", "1e-100"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: numeric overflow at --at-q: entry (1,1) is inf+nani\n"
 
 
 def test_cli_start_imports_no_dataclasses_or_inspect():

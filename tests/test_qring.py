@@ -479,6 +479,14 @@ class TestQCombinatorics:
             for n in range(a + 1):
                 assert table.get((a, n), ZERO) == q_binomial(a, n), (a, n)
 
+    def test_binomial_matches_factorial_quotient(self):
+        # the q-Pascal build from a cold memo against [n]! / ([k]! [n-k]!)
+        q_binomial.cache_clear()
+        for n in range(24):
+            for k in range(n + 1):
+                quotient = q_factorial(n) / (q_factorial(k) * q_factorial(n - k))
+                assert q_binomial(n, k) == quotient, (n, k)
+
     def test_binomial_is_laurent_polynomial(self):
         for n in range(13):
             for k in range(n + 1):

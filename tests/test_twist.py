@@ -62,7 +62,7 @@ from qweyl.twist import (
 )
 
 import coeff_oracle
-from factor_oracle import twist_product
+from factor_oracle import twist_product, variant_product
 
 B0 = RingElem.from_rational(0)
 B1 = ONE
@@ -220,19 +220,22 @@ class TestWeylElement:
         assert weyl_w(2) == QMatrix([[ZERO, -x_pow(-5)], [x_pow(-1), ZERO]])
 
     def test_exchange_relations(self):
+        # w K = K^-1 w is what `twist_t` moves the K-conjugated variants by
         half = q_power(Fraction(1, 2))
-        for d in range(1, 7):
+        for d in range(1, 12):
             r = irrep(d)
             w = weyl_w(d)
             assert w * r.X == (r.Y * w).scale(-half)
             assert w * r.Y == (r.X * w).scale(-half.inverse())
             assert w * r.H == -(r.H * w)
+            assert w * r.K == r.Kinv * w
 
     def test_square_is_scalar(self):
-        for d in range(1, 7):
-            w2 = weyl_w(d) * weyl_w(d)
-            scalar = w2[(0, 0)]
-            assert w2 == QMatrix.identity(d).scale(scalar)
+        # w w = (-1)^(d-1) x^(-2(d^2-1)) ([d-1]!)^2, the scalar that
+        # `twist_t` divides by for the w_inverse variant
+        for d in range(1, 12):
+            scalar = (-1) ** (d - 1) * x_pow(-2 * (d * d - 1)) * q_factorial(d - 1) ** 2
+            assert weyl_w(d) * weyl_w(d) == QMatrix.identity(d).scale(scalar), d
 
     def test_negates_h_by_conjugation(self):
         for d in range(2, 6):
@@ -287,6 +290,27 @@ class TestTwistMatrix:
                             leg(d, k, j).shift(8 if (k, j) == (1, 1) else 0))
         assert self.closed_form_mismatches() == [
             (d, b) for b in self.CLOSED_FORM_BETA1 for d in range(2, 8)]
+
+    VARIANT_CONFIGS = (("w_inverse", None), ("u_conjugate", None), ("affine", None),
+                       ("k_conjugate", Fraction(1, 2)), ("k_conjugate", Fraction(-1, 2)),
+                       ("k_conjugate", Fraction(1)), ("k_conjugate", Fraction(-3, 2)))
+
+    def test_variants_match_their_products(self):
+        # each variant, built uncached from the standard twist, against the
+        # product of its factors, for d <= 7
+        mismatches = []
+        for b in self.CLOSED_FORM_BETA1:
+            for variant, alpha in self.VARIANT_CONFIGS:
+                cfg = TwistConfig(parse_ring_elem(b), variant, alpha)
+                mismatches += [(d, b, variant, alpha) for d in range(1, 8)
+                               if twist.twist_t.__wrapped__(d, cfg) != variant_product(d, cfg)]
+        assert mismatches == []
+
+    def test_rejects_dimensions_below_one(self):
+        for variant, alpha in (("standard", None), *self.VARIANT_CONFIGS):
+            for d in (0, -2):
+                with pytest.raises(ValueError, match="dimension must be positive"):
+                    twist.twist_t.__wrapped__(d, TwistConfig(B1, variant, alpha))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -763,12 +787,16 @@ class TestNegativeTwins:
             "zhat inverse (right) d=4": ((zh, zinv), (ident,)),
             "zhat inverse (left) d=4": ((zinv, zh), (ident,))})
 
-    def test_variants_tampered_drinfeld_u(self, monkeypatch):
-        true_u = twist.drinfeld_u
-        # at d = 2 the suite sees entry (0,1) of u; a bump of (0,0), (1,0) or
-        # (1,1) leaves both identities true
-        monkeypatch.setattr(twist, "drinfeld_u",
-                            lambda d: bump(true_u(d), 0, 1) if d == 2 else true_u(d))
+    def test_variants_tampered_u_conjugate_twist(self, monkeypatch):
+        # the suite proves the braid equation, which K-conjugates and scalar
+        # multiples of t satisfy as well: a wrong K-shift e or a wrong scalar
+        # in `twist_t` is caught only by the product oracle
+        # (TestTwistMatrix.test_variants_match_their_products).  At d = 2 a
+        # bump of entry (0,0), (0,1) or (1,0) leaves a solution; one of the
+        # zero (1,1) does not
+        true_t = twist.twist_t
+        monkeypatch.setattr(twist, "twist_t", lambda d, cfg: bump(true_t(d, cfg), 1, 1)
+                            if d == 2 and cfg.variant == "u_conjugate" else true_t(d, cfg))
         reports = cli._variants(argparse.Namespace(max_dim=3), B1)
         failed = [line for rep in reports for line in failed_lines(rep)]
         assert [line.split("  [")[0] for line in failed] == [
@@ -784,7 +812,8 @@ class TestCacheBounds:
 
     def test_distinct_beta1_values_stay_within_bound(self):
         # verify all --max-dim 3 fills 28 at the default beta1 and at most 30
-        # at others, in the twist_t memo
+        # at others, in the twist_t memo; each variant there also reads its
+        # standard twist, which the other suites have already put in
         assert BETA1_CACHE_SIZE >= 4 * 28
         for k in range(1000):
             b1 = RingElem.from_rational(Fraction(k, 7))
