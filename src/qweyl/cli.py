@@ -160,11 +160,11 @@ def _config(args, beta1):
 
 def _join_signed_values(argv):
     """argv with `--beta1 -x^4` written as `--beta1=-x^4`, and so for
-    --alpha: argparse reads a separate value that starts with a single '-'
-    as an option of its own."""
+    --alpha and --at-q: argparse reads a separate value that starts with a
+    single '-' as an option of its own, unless it looks like `-2.5`."""
     out = []
     for arg in argv:
-        if (out and out[-1] in ("--beta1", "--alpha") and arg.startswith("-")
+        if (out and out[-1] in ("--beta1", "--alpha", "--at-q") and arg.startswith("-")
                 and not arg.startswith("--")):
             out[-1] += "=" + arg
         else:

@@ -364,22 +364,22 @@ def _shared_run(lhs, rhs):
 def products_equal(lhs, rhs):
     """Whether the chains of matrices lhs and rhs have equal products, decided
     without building either product; None when some factor has an entry with
-    a non-constant denominator, or when the two sides are cleared by
-    different total scalings.
+    a non-constant denominator.
 
     Each factor F_m is cleared to the integer matrix D_m q^(K_m) F_m, and its
     entries are mapped by x -> x, q = x^8 -> 2^w into Z[x]/(x^8 - 2^w), a ring
     homomorphism in which an entry is at most 8 big integers, one for each
-    exponent class mod 8.  With both sides cleared by the same prod D_m and
-    sum K_m, the sides are equal exactly when the cleared products are, and a
-    difference of images is the difference of the products' images.  That
-    map loses nothing on an integer polynomial whose coefficients are below
-    2^w in absolute value (one with |c_k| <= X - 1 that is not zero is not
-    zero at X).  A chain F_1 ... F_n has at most prod_(m<n) width_m paths
-    from a row to a column, so every entry of its cleared product has an l1
-    norm of at most B = prod_(m<n) width_m * prod_m norm_m, and
-    w = bit_length(B_lhs + B_rhs) + 1 bounds every coefficient of the
-    difference.
+    exponent class mod 8.  With g the gcd of the two sides' total prod D_m and
+    k the least of their sum K_m, each side's cleared product is multiplied by
+    what is left of the other side's scaling, (D / g) q^(K - k), and the sides
+    are equal exactly when those crossed products are.  The map loses nothing
+    on an integer polynomial whose coefficients are below 2^w in absolute
+    value (one with |c_k| <= X - 1 that is not zero is not zero at X).  A
+    chain F_1 ... F_n has at most prod_(m<n) width_m paths from a row to a
+    column, so every entry of its cleared product has an l1 norm of at most
+    B = prod_(m<n) width_m * prod_m norm_m, and w = bit_length(B_lhs D_rhs / g
+    + B_rhs D_lhs / g) + 1 bounds every coefficient of the difference.  When
+    the scalings agree, as on the four-braid sides, no row is multiplied.
 
     The longest run of factors that both chains share (the same objects in
     the same order, as in the rotations R21 t2 R t1 and t1 R21 t2 R) is
@@ -403,11 +403,13 @@ def products_equal(lhs, rhs):
         scalings.append((math.prod(c.den for c in facts), sum(c.k for c in facts)))
         bounds.append(math.prod(c.width for c in facts[:-1])
                       * math.prod(c.norm for c in facts))
-    if scalings[0] != scalings[1]:
-        return None
     if (lhs[0].rows, lhs[-1].cols) != (rhs[0].rows, rhs[-1].cols):
         return False
-    w = sum(bounds).bit_length() + 1
+    (den_l, k_l), (den_r, k_r) = scalings
+    g, k = math.gcd(den_l, den_r), min(k_l, k_r)
+    w = (bounds[0] * (den_r // g) + bounds[1] * (den_l // g)).bit_length() + 1
+    # each side times the other side's leftover scaling, q^K -> 2^(w K)
+    cross = (den_r // g << w * (k_r - k), den_l // g << w * (k_l - k))
     images = {key: _image(c, w) for key, c in cleared.items()}
     sides = [[images[id(f)] for f in chain] for chain in (lhs, rhs)]
     i, j, n = _shared_run(lhs, rhs)
@@ -417,6 +419,9 @@ def products_equal(lhs, rhs):
         sides = [sides[0][:i] + [run] + sides[0][i + n:],
                  sides[1][:j] + [run] + sides[1][j + n:]]
     for row in range(lhs[0].rows):
-        if _chain_row(sides[0], row, w) != _chain_row(sides[1], row, w):
+        vecs = [_chain_row(side, row, w) for side in sides]
+        if cross != (1, 1):
+            vecs = [{key: v * c for key, v in vec.items()} for vec, c in zip(vecs, cross)]
+        if vecs[0] != vecs[1]:
             return False
     return True

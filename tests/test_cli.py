@@ -309,19 +309,23 @@ class TestUsageErrors:
 
 
 class TestSeparateSignedValues:
-    """A value that starts with '-' may follow --beta1 or --alpha as an
-    argument of its own, as it may follow '='."""
+    """A value that starts with '-' may follow --beta1, --alpha or --at-q as
+    an argument of its own, as it may follow '='."""
 
     CASES = [("twist", "--dim", "2", "--beta1", "-x^4"),
              ("twist", "--dim", "3", "--beta1", "-1/2", "--format", "json"),
              ("twist", "--dim", "4", "--variant", "k_conjugate", "--alpha", "-3/2"),
              ("verify", "four-braid", "--max-dim", "2", "--beta1", "-x^4+1"),
              ("coeffs", "--count", "4", "--beta1", "-q"),
-             ("zbn", "--dim", "2", "--strands", "2", "--word", "0 1'", "--beta1", "-2")]
+             ("zbn", "--dim", "2", "--strands", "2", "--word", "0 1'", "--beta1", "-2"),
+             # argparse takes `-2.5` for a value, but not exponent notation
+             ("twist", "--dim", "2", "--at-q", "-1e-100"),
+             ("zbn", "--dim", "2", "--strands", "2", "--word", "0 1'", "--at-q", "-2.5e-1")]
 
     @pytest.mark.parametrize("argv", CASES, ids=" ".join)
     def test_same_bytes_as_the_equals_form(self, argv):
-        at = argv.index("--beta1" if "--beta1" in argv else "--alpha")
+        at = next(i for i, arg in enumerate(argv)
+                  if arg in ("--beta1", "--alpha", "--at-q") and argv[i + 1].startswith("-"))
         joined = argv[:at] + ("%s=%s" % argv[at:at + 2],) + argv[at + 2:]
         code, out = run_cli(*argv)
         assert code == 0 and out

@@ -1,8 +1,9 @@
 """An independent oracle for `repn.products_equal`: on seeded random chains
 of Laurent-polynomial matrices its verdict must be the verdict of the exact
-products, `product(lhs) == product(rhs)`; tampered twins must read False,
-and a factor with a non-constant denominator must leave the verdict to the
-exact path (None).  Chains that share a run of factors, which the image
+products, `product(lhs) == product(rhs)`, whether or not the two sides are
+cleared by the same total scaling; tampered twins must read False, and a
+factor with a non-constant denominator must leave the verdict to the exact
+path (None).  Chains that share a run of factors, which the image
 multiplies out once, are checked in every layout of that run."""
 
 import hashlib
@@ -38,28 +39,44 @@ def copy(m):
     return QMatrix(m.entries)
 
 
+# scalars that move a factor's clearing: its denominator, its power of q,
+# or both
+SCALARS = tuple(map(parse_ring_elem, ("2", "1/3", "5/2*x^-8", "-x^3", "3*q^2")))
+
+
 def chain_pair(seed):
-    """Two chains of 2 to 4 factors with equal total scaling: the same
-    chain rebuilt (rectangular factors allowed), a shuffle of the same
-    square factors, or a factor swapped with a polynomial in itself."""
+    """Two chains of 2 to 4 factors: the same chain rebuilt (rectangular
+    factors allowed), a shuffle of the same square factors, or a factor
+    swapped with a polynomial in itself.  A third of the right-hand chains
+    then carry a scalar c on their first factor and 1/c on their last, and
+    a third are multiplied out to one factor, so the two sides are mostly
+    cleared by different total scalings; neither move changes the product."""
     rng = random.Random(seed)
     length = rng.randint(2, 4)
     kind = seed % 3
     if kind == 0:
         dims = [rng.randint(1, 4) for _ in range(length + 1)]
         lhs = [rand_matrix(rng, a, b) for a, b in zip(dims, dims[1:])]
-        return lhs, [copy(f) for f in lhs]
-    n = rng.randint(1, 4)
-    lhs = [rand_matrix(rng, n, n) for _ in range(length)]
-    if kind == 1:
-        rhs = lhs[:]
-        rng.shuffle(rhs)
-        return lhs, rhs
-    # a polynomial in a commutes with a
-    a = lhs[0]
-    m = a * a + a.scale(RingElem.x_power(rng.randint(-9, 9))) \
-        + QMatrix.identity(n).scale(Fraction(rng.randint(1, 5), 2))
-    return [a, m] + lhs[1:], [m, a] + lhs[1:]
+        rhs = [copy(f) for f in lhs]
+    else:
+        n = rng.randint(1, 4)
+        lhs = [rand_matrix(rng, n, n) for _ in range(length)]
+        if kind == 1:
+            rhs = lhs[:]
+            rng.shuffle(rhs)
+        else:
+            # a polynomial in a commutes with a
+            a = lhs[0]
+            m = a * a + a.scale(RingElem.x_power(rng.randint(-9, 9))) \
+                + QMatrix.identity(n).scale(Fraction(rng.randint(1, 5), 2))
+            lhs, rhs = [a, m] + lhs[1:], [m, a] + lhs[1:]
+    move = rng.randrange(3)
+    if move == 1:
+        c = rng.choice(SCALARS)
+        rhs = [rhs[0].scale(c)] + rhs[1:-1] + [rhs[-1].scale(c.inverse())]
+    elif move == 2:
+        rhs = [product(rhs)]
+    return lhs, rhs
 
 
 def bumped(m, i, j, top, sign):
@@ -74,18 +91,15 @@ def bumped(m, i, j, top, sign):
 
 def twins(m, rng):
     """Tampered copies of m: +-1 on the highest and on the lowest coefficient
-    of one nonzero entry, leaving out a sign that would cancel the
-    coefficient (that changes the exponent range, so the scaling)."""
+    of one nonzero entry.  A sign that cancels the coefficient changes the
+    entry's exponent range, and so the twin's scaling."""
     spots = [(i, j) for i in range(m.rows) for j in range(m.cols) if m[i, j]]
     if not spots:
         return
     i, j = rng.choice(spots)
-    coeffs = m[i, j].num.coefficients()
     for top in (True, False):
-        c = coeffs[max(coeffs) if top else min(coeffs)]
         for sign in (1, -1):
-            if c + sign:
-                yield bumped(m, i, j, top, sign)
+            yield bumped(m, i, j, top, sign)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -250,12 +264,36 @@ def test_rational_function_entry_leaves_it_to_the_exact_path():
     assert product_check("pole", [a, f], [a, f]) == ("pole", True, "")
 
 
-def test_different_scalings_leave_it_to_the_exact_path():
+def test_different_scalings_are_crossed():
+    # the left side is cleared by 2, then by q; the right side by 1
     half, two, one = (QMatrix([[v]]) for v in (Fraction(1, 2), 2, 1))
-    assert products_equal([half, two], [one, one]) is None
-    assert product_check("scaled", [half, two], [one, one]).ok
+    assert products_equal([half, two], [one, one]) is True
+    assert products_equal([one, one], [half, two]) is True
     x_inv, x_one = QMatrix([[RingElem.x_power(-1)]]), QMatrix([[RingElem.x_power(1)]])
-    assert products_equal([x_inv, x_one], [one, one]) is None
+    assert products_equal([x_inv, x_one], [one, one]) is True
+    assert products_equal([one, one], [x_inv, x_one]) is True
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_chain_against_its_own_product(seed):
+    lhs, _ = chain_pair(seed)
+    assert products_equal(lhs, [product(lhs)]) is True
+
+
+@pytest.mark.parametrize("c", ("2", "1/3", "5/2*x^-8"))
+def test_scalar_moved_between_factors(c):
+    c = parse_ring_elem(c)
+    rng = random.Random(3)
+    for _ in range(20):
+        a, b = rand_matrix(rng, 3, 3), rand_matrix(rng, 3, 3)
+        assert products_equal([a.scale(c), b.scale(c.inverse())], [a, b]) is True
+
+
+def test_width_bounds_the_crossed_sides():
+    # q/4 against 256 is crossed to q against 4 * 256 = 2^10, which collides
+    # with q at width 10; B_lhs + B_rhs = 257 alone would give that width
+    assert products_equal([QMatrix([[Q * Fraction(1, 4)]])], [QMatrix([[256]])]) is False
+    assert products_equal([QMatrix([[256]])], [QMatrix([[Q * Fraction(1, 4)]])]) is False
 
 
 def test_shapes():

@@ -2,7 +2,7 @@ import pytest
 
 from qweyl import rmat
 from qweyl.qring import ONE, RingElem, q_power
-from qweyl.repn import QMatrix, irrep, kron
+from qweyl.repn import QMatrix, irrep, kron, product, products_equal
 from qweyl.rmat import (
     braid_matrix,
     cartan_factor,
@@ -172,6 +172,35 @@ class TestBraidMatrix:
         assert p == -lam1 * lam2
         assert lam1 != lam2
         assert (b - ident.scale(lam1)) * (b - ident.scale(lam2)) == QMatrix.zeros(4)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_minimal_polynomial_against_a_zero_side(self, d):
+        # prod_s (B - lambda_s) = 0 on V_d (x) V_d, decided by the ring image
+        # against a zero matrix; dropping a root or shifting one leaves a
+        # nonzero product.  The exact product is the oracle.
+        zero = QMatrix.zeros(d * d)
+        chain = eigenvalue_factors(d)
+        assert products_equal(chain, [zero]) is True
+        assert product(chain) == zero
+        for s in range(d):
+            for bad in (eigenvalue_factors(d, drop=s), eigenvalue_factors(d, shift=s)):
+                assert products_equal(bad, [zero]) is False
+                assert product(bad) != zero, (d, s)
+
+
+def eigenvalue_factors(d, drop=None, shift=None):
+    """The factors B - lambda_s, s = 0..d-1, of the minimal polynomial of B on
+    V_d (x) V_d, with lambda_s = (-1)^(d-1-s) q^(s(s+1)/2 - (d^2-1)/4) the
+    eigenvalue of the braiding on the summand V_(2s+1); the root s = drop
+    left out, and the root s = shift times q."""
+    b = braid_matrix(d)
+    ident = QMatrix.identity(d * d)
+    out = []
+    for s in range(d):
+        if s != drop:
+            lam = x_pow(4 * s * (s + 1) - 2 * (d * d - 1) + 8 * (s == shift))
+            out.append(b - ident.scale(lam if (d - 1 - s) % 2 == 0 else -lam))
+    return out
 
 
 class TestConjugatedR:

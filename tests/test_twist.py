@@ -244,12 +244,43 @@ class TestWeylElement:
             assert w * r.H * w.inverse() == -r.H
 
 
+def characteristic_chain(t, beta1):
+    """t^2 + beta1 q^(-1/2) t + q^(-1) for a 2x2 t as a chain of two factors,
+    the block row (t | 1) times the block column (t + beta1 q^(-1/2); q^(-1))."""
+    c, q_inv = beta1 * x_pow(-4), x_pow(-8)
+    (a, b), (e, f) = t.entries
+    row = QMatrix([[a, b, ONE, ZERO], [e, f, ZERO, ONE]])
+    column = QMatrix([[a + c, b], [e, f + c], [q_inv, ZERO], [ZERO, q_inv]])
+    return [row, column]
+
+
 class TestTwistMatrix:
     def test_two_dimensional_closed_form(self):
         for b in (B0, B1, RingElem.x_power(4) + 2):
             t = twist_t(2, TwistConfig(beta1=b))
             expected = QMatrix([[-b * x_pow(-4), -x_pow(-6)], [x_pow(-2), ZERO]])
             assert t == expected
+
+    @pytest.mark.parametrize("b", ("3", "-5/2", "x^4+1"))
+    def test_characteristic_polynomial_on_v2(self, b):
+        # t^2 + beta1 q^(-1/2) t + q^(-1) = 0, decided by the ring image
+        # against a zero matrix; with the middle sign flipped it is not zero.
+        # The exact product is the oracle.
+        beta1 = parse_ring_elem(b)
+        t = twist_t(2, TwistConfig(beta1=beta1))
+        zero = QMatrix.zeros(2)
+        chain = characteristic_chain(t, beta1)
+        assert products_equal(chain, [zero]) is True
+        assert product(chain) == zero
+        flipped = characteristic_chain(t, -beta1)
+        assert products_equal(flipped, [zero]) is False
+        assert product(flipped) != zero
+
+    def test_characteristic_polynomial_with_a_pole(self):
+        beta1 = parse_ring_elem("1/(q-2)")
+        chain = characteristic_chain(twist_t(2, TwistConfig(beta1=beta1)), beta1)
+        assert products_equal(chain, [QMatrix.zeros(2)]) is None
+        assert product(chain) == QMatrix.zeros(2)
 
     def test_counit_value(self):
         for variant, alpha in (("standard", None), ("w_inverse", None),
